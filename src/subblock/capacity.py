@@ -32,6 +32,7 @@ CLASS_CAP = 10**6          # sequences materialized per input type class
 OUTPUT_TYPE_CAP = 10**5    # number of output type classes
 ORACLE_CAP = 10**7         # entries of the fully materialized vector channel
 RATE_TIE_TOL = 1e-12
+NEWTON_MAX_STEPS = 500     # barrier Newton steps after Blahut-Arimoto stalls
 LN2 = math.log(2.0)
 _CHUNK = 1 << 16
 
@@ -85,21 +86,59 @@ def _class_output_probability(w: np.ndarray, sequences: np.ndarray,
     return math.fsum(parts) / n
 
 
+def check_class_caps(ch: Channel, compositions, length: int, *,
+                     class_cap: int = CLASS_CAP,
+                     output_type_cap: int = OUTPUT_TYPE_CAP) -> None:
+    """Raise :class:`SizeLimit` from closed-form counts, before anything is
+    materialized, if an input type class or the output type classes of
+    length ``length`` exceed their caps."""
+    n_out = composition_count(ch.output_size, length)
+    if n_out > output_type_cap:
+        raise SizeLimit(
+            f"{n_out} output type classes exceed the cap of {output_type_cap}")
+    for comp in compositions:
+        n = type_class_size(comp)
+        if n > class_cap:
+            raise SizeLimit(f"type class {comp.counts} has {n} sequences, "
+                            f"above the cap of {class_cap}")
+
+
+def class_output_law(ch: Channel, composition: Composition,
+                     otypes: list[OutputType], *,
+                     class_cap: int = CLASS_CAP) -> np.ndarray:
+    """P(y_Q) for every output type class Q in ``otypes`` (from
+    :func:`output_types` at the composition's length), with the input uniform
+    on the type class of ``composition``.  By symmetry every member of class
+    Q has this probability."""
+    if composition.alphabet_size != ch.input_size:
+        raise DomainError("composition alphabet does not match the channel")
+    sequences = materialize_type_class(composition, cap=class_cap)
+    law = np.array([_class_output_probability(ch.w, sequences, otype.representative)
+                    for otype in otypes])
+    law.setflags(write=False)
+    return law
+
+
+def symmetric_rate(ch: Channel, otypes: list[OutputType], law: np.ndarray,
+                   marginal: np.ndarray) -> float:
+    """(1/L) I(X_1^L; Y_1^L) in bits for an input whose output law depends on
+    the output only through its type: ``law`` holds P(y_Q) for each class in
+    ``otypes`` and ``marginal`` is the input symbol law averaged over
+    positions.  Unclamped, so rounding may leave it a few ulps below zero."""
+    terms = [otype.size * p_y * (-math.log2(p_y))
+             for otype, p_y in zip(otypes, law.tolist()) if p_y > 0.0]
+    return math.fsum(terms) / otypes[0].composition.length \
+        - conditional_entropy(ch, marginal)
+
+
 def cscc_composition_rate(ch: Channel, composition: Composition, *,
                           class_cap: int = CLASS_CAP,
                           output_type_cap: int = OUTPUT_TYPE_CAP) -> CapacityResult:
     """CSCC rate (bits/use) for a fixed subblock composition, via the
     symmetry-reduced output-type sum."""
-    if composition.alphabet_size != ch.input_size:
-        raise DomainError("composition alphabet does not match the channel")
-    length = composition.length
-    sequences = materialize_type_class(composition, cap=class_cap)
-    terms = []
-    for otype in output_types(ch.output_size, length, cap=output_type_cap):
-        p_y = _class_output_probability(ch.w, sequences, otype.representative)
-        if p_y > 0.0:
-            terms.append(otype.size * p_y * (-math.log2(p_y)))
-    rate = math.fsum(terms) / length - conditional_entropy(ch, composition.probabilities())
+    otypes = list(output_types(ch.output_size, composition.length, cap=output_type_cap))
+    law = class_output_law(ch, composition, otypes, class_cap=class_cap)
+    rate = symmetric_rate(ch, otypes, law, composition.probabilities())
     return CapacityResult(rate=max(rate, 0.0), composition=composition)
 
 
@@ -159,6 +198,8 @@ def cscc_capacity(ch: Channel, length: int, threshold: float, *,
     energy, then to the lexicographically smallest counts vector.
     """
     feasible = feasible_compositions(ch, length, threshold)
+    check_class_caps(ch, feasible, length, class_cap=class_cap,
+                     output_type_cap=output_type_cap)
     best: CapacityResult | None = None
     best_energy = -1.0
     for comp in feasible:
@@ -187,6 +228,20 @@ def ccc_composition_rate(ch: Channel, composition) -> float:
 # -- constrained Blahut-Arimoto ------------------------------------------------
 
 
+def _divergences(w: np.ndarray):
+    """A function of an input prior p returning ``(pW, d)``, where d[x] is
+    D(W(.|x) || pW) in nats; log W is computed once."""
+    positive = w > 0.0
+    logw = np.where(positive, np.log(np.where(positive, w, 1.0)), 0.0)
+
+    def evaluate(p):
+        pw = p @ w
+        log_pw = np.log(np.maximum(pw, 1e-300))
+        return pw, np.where(positive, w * (logw - log_pw[None, :]), 0.0).sum(axis=1)
+
+    return evaluate
+
+
 def blahut_arimoto(w: np.ndarray, *, tol_nats: float = 1e-12,
                    max_iter: int = 100_000, bonus: np.ndarray | None = None,
                    p_init: np.ndarray | None = None):
@@ -198,8 +253,7 @@ def blahut_arimoto(w: np.ndarray, *, tol_nats: float = 1e-12,
     """
     w = np.asarray(w, dtype=float)
     n_in = w.shape[0]
-    positive = w > 0.0
-    logw = np.where(positive, np.log(np.where(positive, w, 1.0)), 0.0)
+    divergences = _divergences(w)
     p = np.full(n_in, 1.0 / n_in) if p_init is None else np.asarray(p_init, float).copy()
     p = np.clip(p, 0.0, None)
     p /= p.sum()
@@ -207,9 +261,7 @@ def blahut_arimoto(w: np.ndarray, *, tol_nats: float = 1e-12,
     info = 0.0
     gap = math.inf
     for iterations in range(1, max_iter + 1):
-        pw = p @ w
-        log_pw = np.log(np.maximum(pw, 1e-300))
-        d = np.where(positive, w * (logw - log_pw[None, :]), 0.0).sum(axis=1)
+        _, d = divergences(p)
         score = d if bonus is None else d + bonus
         objective = float(p @ score)
         info = float(p @ d)
@@ -222,6 +274,59 @@ def blahut_arimoto(w: np.ndarray, *, tol_nats: float = 1e-12,
         p = np.exp(log_p)
         p /= p.sum()
     return p, info, iterations, gap
+
+
+def barrier_newton(w: np.ndarray, *, p_init: np.ndarray, tol_nats: float,
+                   bonus: np.ndarray):
+    """Maximize I(p, W) + p . bonus over input priors by Newton steps on a
+    log barrier, for small channels on which :func:`blahut_arimoto` stalls:
+    its linear rate tends to one when the channel is nearly useless and some
+    optimal weights are small.
+
+    Each step solves the Newton system of F(p) + mu * sum(log p) on the
+    simplex, F having Hessian -W diag(1/pW) W^T, and mu falls tenfold once
+    the step's decrement is below mu / 4.  As in :func:`blahut_arimoto` the
+    duality gap is the stopping rule, and the return value has the same
+    shape, with Newton steps (at most ``NEWTON_MAX_STEPS``) in place of
+    iterations.
+    """
+    w = np.asarray(w, dtype=float)
+    n = w.shape[0]
+    bonus = np.asarray(bonus, dtype=float)
+    evaluate = _divergences(w)
+    p = 0.5 * np.asarray(p_init, dtype=float) + 0.5 / n   # strictly inside
+    pw, d = evaluate(p)
+    mu = float((d + bonus).max() - p @ (d + bonus)) / n
+    steps = 0
+    while True:
+        score = d + bonus
+        gap = float(score.max() - p @ score)
+        if gap <= tol_nats or steps == NEWTON_MAX_STEPS:
+            return p, float(p @ d), steps, gap
+        steps += 1
+        grad = score + mu / p
+        root = w / np.sqrt(np.maximum(pw, 1e-300))[None, :]
+        kkt = np.ones((n + 1, n + 1))
+        kkt[:n, :n] = root @ root.T + np.diag(mu / p ** 2)
+        kkt[n, n] = 0.0
+        step = np.linalg.lstsq(kkt, np.append(grad, 0.0), rcond=None)[0][:n]
+        decrement = float(grad @ step)
+        shrink = step < 0.0
+        t = min(1.0, 0.99 * float(np.min(-p[shrink] / step[shrink]))) if shrink.any() else 1.0
+        # The barrier objective is concave along the step, so it rises up to
+        # any t at which its slope is still non-negative.  Testing the slope
+        # rather than the value stays exact near the optimum, where changes
+        # of the value fall below rounding.
+        for _ in range(60):
+            trial = p + t * step
+            trial /= trial.sum()
+            trial_pw, trial_d = evaluate(trial)
+            if (trial_d + bonus + mu / trial) @ step >= 0.0:
+                break
+            t *= 0.5
+        p, pw, d = trial, trial_pw, trial_d
+        if decrement <= 0.25 * mu:
+            mu *= 0.1
 
 
 def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10, *,
@@ -300,11 +405,7 @@ def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10, *,
     rate = mutual_information(p_star, ch)
 
     # weak-duality certificate at (p_star, lam_hi)
-    pw = p_star @ ch.w
-    log_pw = np.log(np.maximum(pw, 1e-300))
-    positive = ch.w > 0.0
-    logw = np.where(positive, np.log(np.where(positive, ch.w, 1.0)), 0.0)
-    d = np.where(positive, ch.w * (logw - log_pw[None, :]), 0.0).sum(axis=1)
+    _, d = _divergences(ch.w)(p_star)
     upper = float(np.max(d + lam_hi * b)) - lam_hi * threshold
     residual = max(upper / LN2 - rate, 0.0)
     return CapacityResult(rate=rate, distribution=p_star,

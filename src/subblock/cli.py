@@ -22,7 +22,7 @@ from . import validation
 from .bounds import (cscc_rate_lower_bound_bsc, penalty_bound_bec,
                      penalty_bound_bsc, penalty_bound_z)
 from .capacity import (CLASS_CAP, OUTPUT_TYPE_CAP, capacity_power,
-                       ccc_composition_rate, cscc_capacity,
+                       ccc_composition_rate, check_class_caps, cscc_capacity,
                        cscc_composition_rate)
 from .channel import Channel
 from .energy import (BufferConfig, balanced_composition, cscc_sequence,
@@ -30,8 +30,8 @@ from .energy import (BufferConfig, balanced_composition, cscc_sequence,
 from .errors import DomainError, Infeasible, SizeLimit
 from .exponent import exponent_curve
 from .finiteblock import lsd_rate_bsc
-from .secc import (ALPHABET_CAP, OUTPUT_SEQ_CAP, asymmetry_witness,
-                   secc_capacity, secc_uniform_rate, super_alphabet)
+from .secc import (asymmetry_witness, secc_capacity, secc_uniform_rate,
+                   super_alphabet)
 from .typeclass import (Composition, composition_count, rate_loss,
                         type_class_size)
 
@@ -204,12 +204,10 @@ def cmd_capacity_power(args) -> int:
 
 def _secc_exact_within_caps(ch: Channel, length: int, threshold: float) -> bool:
     try:
-        alpha = super_alphabet(ch, length, threshold)
-    except Infeasible:
+        check_class_caps(ch, super_alphabet(ch, length, threshold).compositions, length)
+    except (Infeasible, SizeLimit):
         return False
-    n_out = ch.output_size ** length
-    return alpha.size <= ALPHABET_CAP and n_out <= OUTPUT_SEQ_CAP \
-        and alpha.size * n_out <= 10**6
+    return True
 
 
 def cmd_secc(args) -> int:

@@ -1,10 +1,19 @@
 """Subblock energy-constrained codes: the enlarged super-letter alphabet, the
-uniform-input rate, exact capacity via Blahut-Arimoto on the induced vector
+uniform-input rate, exact capacity via Blahut-Arimoto on the class-lumped
 channel, and the uniform-input asymmetry witness.
 
 Unlike the CSCC vector channel, the SECC vector channel mixes several type
 classes and need not be symmetric, so the uniform super-letter distribution is
-only a lower bound; the exact capacity comes from Blahut-Arimoto.
+only a lower bound.  The vector channel and its feasible set are still
+invariant under permuting input and output coordinates together, and mutual
+information is concave, so some optimal input is uniform within each type
+class; given the class, the output type is a sufficient statistic.  Hence
+
+    L * C_SECC = max_pi [ I(pi; P -> Q) + sum_P pi_P * L * R_CSCC(P) ]
+
+over distributions pi on the feasible classes, where the class-to-output-type
+channel is W[P, Q] = |T_Q| P(y_Q | P).  Both terms come from one per-class
+output law, so each class is evaluated once.
 """
 
 from __future__ import annotations
@@ -14,16 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (CapacityResult, OUTPUT_TYPE_CAP, _class_output_probability,
-                       all_output_sequences, blahut_arimoto, output_types)
-from .channel import Channel, conditional_entropy
-from .errors import DomainError, SizeLimit
-from .typeclass import (Composition, feasible_compositions,
-                        materialize_type_class, type_class_size)
+from .capacity import (CLASS_CAP, OUTPUT_TYPE_CAP, CapacityResult, OutputType,
+                       all_output_sequences, barrier_newton, blahut_arimoto,
+                       check_class_caps, class_output_law, output_types,
+                       symmetric_rate)
+from .channel import Channel
+from .errors import DomainError
+from .typeclass import Composition, feasible_compositions, type_class_size
 
-ALPHABET_CAP = 10**5       # super-letters materialized
-OUTPUT_SEQ_CAP = 10**5     # output sequences of the vector channel
-MATRIX_CAP = 2 * 10**7     # entries of the materialized vector channel
 LN2 = math.log(2.0)
 
 
@@ -40,17 +47,10 @@ class SuperAlphabet:
     def size(self) -> int:
         return sum(self.class_sizes)
 
-    def sequences(self, cap: int = ALPHABET_CAP) -> np.ndarray:
-        """Materialize all member sequences, classes in lexicographic
-        composition order and rows lexicographic within each class."""
-        if self.size > cap:
-            raise SizeLimit(
-                f"super-alphabet has {self.size} sequences, above the cap of {cap}"
-            )
-        blocks = [materialize_type_class(c, cap=cap) for c in self.compositions]
-        out = np.concatenate([np.asarray(b, dtype=np.int16) for b in blocks], axis=0)
-        out.setflags(write=False)
-        return out
+    def class_weights(self) -> np.ndarray:
+        """Weight |T_P| / |A| of each class under the uniform super-letter
+        distribution, in the order of ``compositions``."""
+        return np.array([n / self.size for n in self.class_sizes])
 
     def symbol_marginal(self) -> np.ndarray:
         """Scalar input marginal under the uniform super-letter distribution:
@@ -62,6 +62,18 @@ class SuperAlphabet:
         weights.setflags(write=False)
         return weights
 
+    def output_laws(self, ch: Channel, *, class_cap: int = CLASS_CAP,
+                    output_type_cap: int = OUTPUT_TYPE_CAP
+                    ) -> tuple[list[OutputType], np.ndarray]:
+        """The output type classes, in :func:`output_types` order, and
+        P(y_Q | P): one row per class, one column per output type class.
+        Every cap is checked before any class is materialized."""
+        check_class_caps(ch, self.compositions, self.length, class_cap=class_cap,
+                         output_type_cap=output_type_cap)
+        otypes = list(output_types(ch.output_size, self.length, cap=output_type_cap))
+        return otypes, np.array([class_output_law(ch, comp, otypes, class_cap=class_cap)
+                                 for comp in self.compositions])
+
 
 def super_alphabet(ch: Channel, length: int, threshold: float) -> SuperAlphabet:
     feasible = feasible_compositions(ch, length, threshold)
@@ -71,61 +83,56 @@ def super_alphabet(ch: Channel, length: int, threshold: float) -> SuperAlphabet:
 
 
 def secc_uniform_rate(ch: Channel, length: int, threshold: float, *,
-                      alphabet_cap: int = ALPHABET_CAP,
+                      class_cap: int = CLASS_CAP,
                       output_type_cap: int = OUTPUT_TYPE_CAP) -> float:
     """Rate (bits/use) achieved by the uniform distribution over the
     super-alphabet.
 
-    Output vectors sharing a composition are equiprobable, so the output
-    entropy is one evaluation per output type class; H(Y|X) comes from the
+    Output vectors sharing a composition are equiprobable, so the output law
+    is the per-class laws mixed with weights |T_P|/|A|; H(Y|X) comes from the
     mixture pairwise law sum_P (|T_P|/|A|) P(x) w(y|x).
     """
     alpha = super_alphabet(ch, length, threshold)
-    sequences = alpha.sequences(cap=alphabet_cap)
-    terms = []
-    for otype in output_types(ch.output_size, length, cap=output_type_cap):
-        p_y = _class_output_probability(ch.w, sequences, otype.representative)
-        if p_y > 0.0:
-            terms.append(otype.size * p_y * (-math.log2(p_y)))
-    h_out = math.fsum(terms)
-    return h_out / length - conditional_entropy(ch, alpha.symbol_marginal())
-
-
-def _vector_matrix(ch: Channel, sequences: np.ndarray, length: int,
-                   output_cap: int, matrix_cap: int) -> np.ndarray:
-    n_out = ch.output_size ** length
-    if n_out > output_cap:
-        raise SizeLimit(f"{n_out} output sequences exceed the cap of {output_cap}")
-    if sequences.shape[0] * n_out > matrix_cap:
-        raise SizeLimit(
-            f"vector channel needs {sequences.shape[0] * n_out} entries, "
-            f"above the cap of {matrix_cap}"
-        )
-    outputs = all_output_sequences(ch.output_size, length)
-    matrix = np.ones((sequences.shape[0], n_out), dtype=float)
-    for k in range(length):
-        matrix *= ch.w[sequences[:, k, None], outputs[None, :, k]]
-    return matrix
+    otypes, laws = alpha.output_laws(ch, class_cap=class_cap,
+                                     output_type_cap=output_type_cap)
+    return symmetric_rate(ch, otypes, alpha.class_weights() @ laws,
+                          alpha.symbol_marginal())
 
 
 def secc_capacity(ch: Channel, length: int, threshold: float,
-                  tol: float = 1e-9, *, alphabet_cap: int = ALPHABET_CAP,
-                  output_cap: int = OUTPUT_SEQ_CAP,
-                  matrix_cap: int = MATRIX_CAP,
+                  tol: float = 1e-9, *, class_cap: int = CLASS_CAP,
+                  output_type_cap: int = OUTPUT_TYPE_CAP,
                   max_iter: int = 100_000) -> CapacityResult:
-    """Exact SECC capacity (bits/use): Blahut-Arimoto over the materialized
-    vector channel on the super-alphabet, duality-gap certified to ``tol``.
+    """Exact SECC capacity (bits/use): Blahut-Arimoto over the class-lumped
+    channel with the per-class CSCC information as a bonus, duality-gap
+    certified to ``tol``.  If ``max_iter`` iterations leave the gap above
+    ``tol``, :func:`barrier_newton` finishes from the last iterate and its
+    steps count as iterations; ``residual`` is the gap reached.
 
-    The returned distribution is over super-letters in the canonical order of
-    :meth:`SuperAlphabet.sequences`.
+    The returned distribution holds one weight per feasible class, in the
+    order of ``super_alphabet(ch, length, threshold).compositions``; each
+    super-letter of class P carries weight / |T_P|.
     """
     alpha = super_alphabet(ch, length, threshold)
-    sequences = alpha.sequences(cap=alphabet_cap)
-    matrix = _vector_matrix(ch, sequences, length, output_cap, matrix_cap)
+    otypes, laws = alpha.output_laws(ch, class_cap=class_cap,
+                                     output_type_cap=output_type_cap)
+    bonus = np.array([LN2 * length * symmetric_rate(ch, otypes, law, comp.probabilities())
+                      for comp, law in zip(alpha.compositions, laws)])
+    lumped = laws * np.array([float(otype.size) for otype in otypes])
+    tol_nats = max(tol * length * LN2, 1e-14)
+    # Started from the uniform super-letter input, each iterate is the
+    # vector-channel iterate summed over classes, with the same duality gap.
     p, info_nats, iterations, gap = blahut_arimoto(
-        matrix, tol_nats=max(tol * length * LN2, 1e-14), max_iter=max_iter)
-    return CapacityResult(rate=info_nats / LN2 / length, distribution=p,
-                          iterations=iterations, residual=gap / LN2 / length)
+        lumped, tol_nats=tol_nats, max_iter=max_iter, bonus=bonus,
+        p_init=alpha.class_weights())
+    if gap > tol_nats:
+        finish = barrier_newton(lumped, p_init=p, tol_nats=tol_nats, bonus=bonus)
+        iterations += finish[2]
+        if finish[3] < gap:
+            p, info_nats, _, gap = finish
+    rate = (info_nats + float(p @ bonus)) / LN2 / length
+    return CapacityResult(rate=max(rate, 0.0), distribution=p, iterations=iterations,
+                          residual=gap / LN2 / length)
 
 
 def per_input_information(ch: Channel, sequences) -> np.ndarray:
