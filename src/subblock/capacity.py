@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import (Channel, as_distribution, conditional_entropy, entropy,
                       mutual_information)
-from .errors import DomainError, Infeasible, NoConvergence, SizeLimit
+from .errors import DomainError, Infeasible, SizeLimit
 from .typeclass import (Composition, composition_count, enumerate_compositions,
                         feasible_compositions, materialize_type_class,
                         type_class_size)
@@ -32,7 +32,7 @@ CLASS_CAP = 10**6          # sequences materialized per input type class
 OUTPUT_TYPE_CAP = 10**5    # number of output type classes
 ORACLE_CAP = 10**7         # entries of the fully materialized vector channel
 RATE_TIE_TOL = 1e-12
-NEWTON_MAX_STEPS = 500     # barrier Newton steps after Blahut-Arimoto stalls
+NEWTON_MAX_STEPS = 500     # steps of one barrier Newton solve
 LN2 = math.log(2.0)
 _CHUNK = 1 << 16
 
@@ -277,40 +277,70 @@ def blahut_arimoto(w: np.ndarray, *, tol_nats: float = 1e-12,
 
 
 def barrier_newton(w: np.ndarray, *, p_init: np.ndarray, tol_nats: float,
-                   bonus: np.ndarray):
+                   bonus: np.ndarray | None = None,
+                   energy: tuple[np.ndarray, float] | None = None):
     """Maximize I(p, W) + p . bonus over input priors by Newton steps on a
     log barrier, for small channels on which :func:`blahut_arimoto` stalls:
     its linear rate tends to one when the channel is nearly useless and some
     optimal weights are small.
 
-    Each step solves the Newton system of F(p) + mu * sum(log p) on the
-    simplex, F having Hessian -W diag(1/pW) W^T, and mu falls tenfold once
-    the step's decrement is below mu / 4.  As in :func:`blahut_arimoto` the
-    duality gap is the stopping rule, and the return value has the same
-    shape, with Newton steps (at most ``NEWTON_MAX_STEPS``) in place of
-    iterations.
+    The start is ``p_init`` blended halfway toward uniform.  With
+    ``energy = (b, B)`` the priors are also held to p . b = B, and the start
+    is blended on toward the symbol of largest (or smallest) energy until it
+    meets that hyperplane.
+    Each step solves the equality-constrained Newton (KKT) system of
+    F(p) + mu * sum(log p), F having Hessian -W diag(1/pW) W^T, and mu falls
+    tenfold once the step's decrement is below mu / 4.  The energy row's
+    multiplier gives lam >= 0, and the stopping rule is the weak-duality gap
+    max_x (d_x + bonus_x + lam b_x) - p . (d + bonus) - lam B, which bounds
+    the distance to the maximum (lam = 0 without ``energy``: the
+    :func:`blahut_arimoto` gap).  The return value has the shape of
+    :func:`blahut_arimoto`'s, with Newton steps (at most
+    ``NEWTON_MAX_STEPS``) in place of iterations.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
-    bonus = np.asarray(bonus, dtype=float)
+    bonus = np.zeros(n) if bonus is None else np.asarray(bonus, dtype=float)
     evaluate = _divergences(w)
     p = 0.5 * np.asarray(p_init, dtype=float) + 0.5 / n   # strictly inside
+    rows, level = np.ones((1, n)), np.ones(1)
+    b, threshold = np.zeros(n), 0.0
+    if energy is not None:
+        b, threshold = np.asarray(energy[0], dtype=float), float(energy[1])
+        k = int(np.argmax(b)) if p @ b <= threshold else int(np.argmin(b))
+        theta = (threshold - p @ b) / (b[k] - p @ b)
+        p *= 1.0 - theta
+        p[k] += theta
+        # centred, the energy row stays independent of the first even
+        # where p is nearly a vertex
+        rows, level = np.vstack([rows, b - threshold]), np.array([1.0, 0.0])
+    m = rows.shape[0]
+    kkt = np.zeros((n + m, n + m))
     pw, d = evaluate(p)
-    mu = float((d + bonus).max() - p @ (d + bonus)) / n
+    # positive, or the system is singular on a useless channel
+    mu = max(float((d + bonus).max() - p @ (d + bonus)) / n, tol_nats)
     steps = 0
     while True:
         score = d + bonus
-        gap = float(score.max() - p @ score)
+        grad = score + mu / p
+        # The system in the scaled step p * s is well conditioned even where
+        # some weights are tiny; its last rows also undo rounding drift off
+        # the constraints.
+        root = p[:, None] * w / np.sqrt(np.maximum(pw, 1e-300))[None, :]
+        kkt[:n, :n] = root @ root.T + mu * np.eye(n)
+        kkt[n:, :n] = rows * p
+        kkt[:n, n:] = kkt[n:, :n].T
+        solution = np.linalg.solve(kkt, np.concatenate([p * grad, level - rows @ p]))
+        lam = max(-float(solution[-1]), 0.0) if energy is not None else 0.0
+        gap = float((score + lam * b).max() - p @ score - lam * threshold)
         if gap <= tol_nats or steps == NEWTON_MAX_STEPS:
             return p, float(p @ d), steps, gap
         steps += 1
-        grad = score + mu / p
-        root = w / np.sqrt(np.maximum(pw, 1e-300))[None, :]
-        kkt = np.ones((n + 1, n + 1))
-        kkt[:n, :n] = root @ root.T + np.diag(mu / p ** 2)
-        kkt[n, n] = 0.0
-        step = np.linalg.lstsq(kkt, np.append(grad, 0.0), rcond=None)[0][:n]
+        step = p * solution[:n]
         decrement = float(grad @ step)
+        # Slopes within this bound of zero are rounding noise: where the
+        # constraints pin p (two inputs and an energy row) the step itself is.
+        noise = 1e-12 * float(np.abs(grad) @ p)
         shrink = step < 0.0
         t = min(1.0, 0.99 * float(np.min(-p[shrink] / step[shrink]))) if shrink.any() else 1.0
         # The barrier objective is concave along the step, so it rises up to
@@ -319,9 +349,8 @@ def barrier_newton(w: np.ndarray, *, p_init: np.ndarray, tol_nats: float,
         # of the value fall below rounding.
         for _ in range(60):
             trial = p + t * step
-            trial /= trial.sum()
             trial_pw, trial_d = evaluate(trial)
-            if (trial_d + bonus + mu / trial) @ step >= 0.0:
+            if (trial_d + bonus + mu / trial) @ step >= -noise:
                 break
             t *= 0.5
         p, pw, d = trial, trial_pw, trial_d
@@ -329,15 +358,32 @@ def barrier_newton(w: np.ndarray, *, p_init: np.ndarray, tol_nats: float,
             mu *= 0.1
 
 
+def maximize_information(w: np.ndarray, *, tol_nats: float, max_iter: int,
+                         bonus: np.ndarray | None = None,
+                         p_init: np.ndarray | None = None):
+    """:func:`blahut_arimoto`, finished by :func:`barrier_newton` from its
+    last iterate if ``max_iter`` iterations leave the gap above ``tol_nats``.
+    Newton steps count as iterations; the gap returned is the smaller one."""
+    p, info, iterations, gap = blahut_arimoto(w, tol_nats=tol_nats, max_iter=max_iter,
+                                              bonus=bonus, p_init=p_init)
+    if gap > tol_nats:
+        finish = barrier_newton(w, p_init=p, tol_nats=tol_nats, bonus=bonus)
+        iterations += finish[2]
+        if finish[3] < gap:
+            p, info, _, gap = finish
+    return p, info, iterations, gap
+
+
 def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10, *,
                    max_iter: int = 100_000) -> CapacityResult:
     """Capacity-power function: max I(P, W) subject to E_P[b] >= threshold.
 
-    Solved by Blahut-Arimoto with a Lagrange bonus lam * b(x) on the energy,
-    the multiplier located by outer bisection.  The two bracketing optimizers
-    are blended so the returned distribution meets the energy constraint with
-    equality (concavity of I makes the blend at least as good as either end).
-    ``residual`` reports the certified duality gap in bits.
+    If the unconstrained optimizer (:func:`maximize_information`) meets the
+    energy constraint, it is the answer.  Otherwise the constraint is active,
+    and one :func:`barrier_newton` solve on {sum P = 1, E_P[b] = threshold}
+    gives the optimizer and the Lagrange multiplier of the energy row
+    together.  ``residual`` reports the certified weak-duality gap in bits,
+    and ``iterations`` counts Blahut-Arimoto iterations plus Newton steps.
     """
     if threshold > ch.b_max + 1e-12:
         raise Infeasible(
@@ -346,67 +392,22 @@ def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10, *,
     b = ch.energy
     tol_nats = max(tol * LN2 / 2.0, 1e-14)
 
-    p, info, iters, gap = blahut_arimoto(ch.w, tol_nats=tol_nats, max_iter=max_iter)
-    total_iters = iters
+    p, info, iters, gap = maximize_information(ch.w, tol_nats=tol_nats, max_iter=max_iter)
     if float(p @ b) >= threshold - 1e-12:
         return CapacityResult(rate=info / LN2, distribution=p,
-                              iterations=total_iters, residual=gap / LN2)
+                              iterations=iters, residual=gap / LN2)
 
     if ch.b_max - threshold <= 1e-12:
         # only the maximum-energy symbols are feasible
         keep = b >= ch.b_max - 1e-12
-        sub_p, sub_info, iters, gap = blahut_arimoto(
+        sub_p, sub_info, sub_iters, gap = maximize_information(
             ch.w[keep], tol_nats=tol_nats, max_iter=max_iter)
         full = np.zeros(ch.input_size)
         full[keep] = sub_p
         return CapacityResult(rate=sub_info / LN2, distribution=full,
-                              iterations=total_iters + iters, residual=gap / LN2)
+                              iterations=iters + sub_iters, residual=gap / LN2)
 
-    # bracket the multiplier: energy of the optimizer grows with lam
-    lam_lo, p_lo = 0.0, p
-    e_lo = float(p @ b)
-    lam = 1.0
-    p_hi, e_hi = None, -1.0
-    for _ in range(200):
-        p_hi, _, iters, _ = blahut_arimoto(ch.w, tol_nats=tol_nats,
-                                           max_iter=max_iter,
-                                           bonus=lam * b, p_init=p_lo)
-        total_iters += iters
-        e_hi = float(p_hi @ b)
-        if e_hi >= threshold:
-            break
-        lam_lo, p_lo, e_lo = lam, p_hi, e_hi
-        lam *= 2.0
-    else:
-        raise NoConvergence("energy constraint could not be bracketed")
-
-    lam_hi = lam
-    for _ in range(300):
-        if e_hi - threshold <= 1e-10 or lam_hi - lam_lo <= 1e-14 * (1.0 + lam_hi):
-            break
-        mid = 0.5 * (lam_lo + lam_hi)
-        p_mid, _, iters, _ = blahut_arimoto(ch.w, tol_nats=tol_nats,
-                                            max_iter=max_iter,
-                                            bonus=mid * b, p_init=p_hi)
-        total_iters += iters
-        e_mid = float(p_mid @ b)
-        if e_mid >= threshold:
-            lam_hi, p_hi, e_hi = mid, p_mid, e_mid
-        else:
-            lam_lo, p_lo, e_lo = mid, p_mid, e_mid
-
-    if e_hi - e_lo > 1e-15:
-        theta = min(max((threshold - e_lo) / (e_hi - e_lo), 0.0), 1.0)
-    else:
-        theta = 1.0
-    p_star = theta * p_hi + (1.0 - theta) * p_lo
-    p_star = np.clip(p_star, 0.0, None)
-    p_star /= p_star.sum()
-    rate = mutual_information(p_star, ch)
-
-    # weak-duality certificate at (p_star, lam_hi)
-    _, d = _divergences(ch.w)(p_star)
-    upper = float(np.max(d + lam_hi * b)) - lam_hi * threshold
-    residual = max(upper / LN2 - rate, 0.0)
-    return CapacityResult(rate=rate, distribution=p_star,
-                          iterations=total_iters, residual=residual)
+    p, info, steps, gap = barrier_newton(ch.w, p_init=p, tol_nats=tol_nats,
+                                         energy=(b, threshold))
+    return CapacityResult(rate=info / LN2, distribution=p,
+                          iterations=iters + steps, residual=max(gap, 0.0) / LN2)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subblock import (Channel, Composition, EmptyFeasibleSet, Infeasible,
                       SizeLimit, capacity_power, ccc_composition_rate,
                       cscc_capacity, cscc_composition_rate,
                       cscc_composition_rate_bruteforce, feasible_compositions,
                       mutual_information, type_class_size, vector_channel)
+
+from oracles import two_input_ccc
 
 
 def bsc(p0):
@@ -145,6 +149,60 @@ def test_capacity_power_residual_is_certified():
     result = capacity_power(bsc(0.17), 0.82, tol=1e-10)
     assert 0.0 <= result.residual <= 1e-9
     assert result.iterations > 0
+    # an earlier solver returned 0.62392 bits here with residual 0.121
+    four = Channel([[0.9908187317968873, 0.00918126820311272],
+                    [0.00715230569793205, 0.992847694302068],
+                    [0.15915686250521668, 0.8408431374947833],
+                    [0.00577045061672824, 0.9942295493832718]],
+                   (0.4906371043484824, 0.5979971375506575,
+                    0.7295786241277247, 0.5247406088032964))
+    result = capacity_power(four, 0.6251703124142338)
+    assert result.residual <= 1e-10
+    assert abs(result.rate - 0.637070484594) <= 1e-9
+    noiseless = Channel.noiseless(2, (0.0, 1.0))
+    assert capacity_power(noiseless, 0.95).residual <= 1e-10
+
+
+def test_capacity_power_nearly_useless_channel():
+    # the threshold sits just below b_max, so the optimizer is the one
+    # two-input prior with p . b = B, with tiny weight on the second input
+    ch = Channel([[0.422, 0.578], [0.5, 0.5]], (0.637, 0.374))
+    threshold = 0.6341
+    result = capacity_power(ch, threshold, tol=1e-10)
+    t = (threshold - 0.374) / (0.637 - 0.374)
+    assert result.residual <= 1e-10
+    assert abs(result.rate - mutual_information([t, 1.0 - t], ch)) <= 1e-12
+    assert result.iterations <= 10_000
+
+
+@st.composite
+def random_channels(draw):
+    inputs, outputs = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rows = [draw(st.lists(st.floats(0.0, 1.0), min_size=outputs, max_size=outputs))
+            for _ in range(inputs)]
+    energy = draw(st.lists(st.floats(0.0, 1.0), min_size=inputs, max_size=inputs))
+    w = np.array(rows) ** 3 + 1e-3
+    return Channel(w / w.sum(axis=1, keepdims=True), energy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ch=random_channels(), level=st.floats(0.0, 1.0))
+def test_capacity_power_on_random_channels(ch, level):
+    b = ch.energy
+    threshold = float(b.min() + level * (b.max() - b.min()))
+    # a small Blahut-Arimoto budget sends nearly useless channels to the
+    # Newton finish sooner; the result is certified all the same
+    result = capacity_power(ch, threshold, tol=1e-10, max_iter=5_000)
+    p = result.distribution
+    assert result.residual <= 1e-10
+    assert p.min() >= 0.0
+    assert abs(p.sum() - 1.0) <= 1e-12
+    assert p @ b >= threshold - 1e-12
+    if ch.input_size == 2:
+        # the oracle admits p . b >= threshold - 1e-12, so shifting its
+        # threshold by that slack brackets the exact value
+        assert result.rate <= two_input_ccc(ch, threshold) + 1e-9
+        assert result.rate >= two_input_ccc(ch, threshold + 1e-12) - 1e-9
 
 
 def test_sandwich_against_feasible_members():

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 import subblock.capacity
 from subblock import (Channel, Composition, DomainError, EmptyFeasibleSet,
-                      SizeLimit, asymmetry_witness, cscc_capacity,
-                      cscc_composition_rate, materialize_type_class,
-                      mutual_information, per_input_information,
+                      SizeLimit, asymmetry_witness, capacity_power,
+                      cscc_capacity, cscc_composition_rate,
+                      materialize_type_class, per_input_information,
                       secc_capacity, secc_uniform_rate, super_alphabet,
                       vector_channel)
 from subblock.capacity import blahut_arimoto
+
+from oracles import two_input_ccc
 
 TERNARY = Channel([[0.8, 0.15, 0.05],
                    [0.1, 0.7, 0.2],
@@ -194,27 +196,6 @@ def small_channels(draw):
     return Channel([np.array(r) / sum(r) for r in rows], energy)
 
 
-def two_input_ccc(ch, threshold, steps=80):
-    """Independent oracle for the capacity-power value of a two-input
-    channel: I is concave in t = P(X = 1), so golden-section search over the
-    energy-feasible interval of t finds its maximum.  Feasibility carries the
-    toolkit's 1e-12 slack."""
-    e0, e1 = ch.energy
-    lo, hi = 0.0, 1.0
-    if e1 != e0:
-        edge = min(max((threshold - 1e-12 - e0) / (e1 - e0), 0.0), 1.0)
-        lo, hi = (edge, 1.0) if e1 > e0 else (0.0, edge)
-    info = lambda t: mutual_information(np.array([1.0 - t, t]), ch)
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(steps):
-        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
-        if info(a) < info(b):
-            lo = a
-        else:
-            hi = b
-    return max(info(lo), info(hi))
-
-
 @settings(max_examples=30, deadline=None)
 @given(ch=small_channels(), length=st.integers(1, 4), level=st.floats(0.0, 1.0))
 def test_sandwich_on_random_channels(ch, length, level):
@@ -226,6 +207,9 @@ def test_sandwich_on_random_channels(ch, length, level):
     assert secc.residual <= 1e-9
     assert cscc <= secc.rate + 1e-9
     assert secc.rate <= two_input_ccc(ch, threshold) + 1e-9
+    ccc = capacity_power(ch, threshold, max_iter=5_000)
+    assert ccc.residual <= 1e-10
+    assert secc.rate <= ccc.rate + 1e-9
 
 
 def test_asymmetry_witness_near_noiseless():
