@@ -7,8 +7,7 @@ from .bounds import (PenaltyBound, binary_convolution, binary_entropy,
                      penalty_bound_bec, penalty_bound_bsc, penalty_bound_z)
 from .capacity import (CapacityResult, OutputType, capacity_power,
                        ccc_composition_rate, cscc_capacity,
-                       cscc_composition_rate, cscc_composition_rate_bruteforce,
-                       output_types, vector_channel)
+                       cscc_composition_rate, output_types)
 from .channel import (Channel, as_distribution, conditional_entropy,
                       divergence, divergence_conditional, entropy,
                       mutual_information, output_distribution)
@@ -24,8 +23,10 @@ from .exponent import (CsccErrorBound, ExponentCurve, TiltedSolution,
                        random_coding, sphere_packing, sphere_packing_solution,
                        tilted_fixed_point)
 from .finiteblock import LsdPoint, lsd_point, lsd_rate_bsc, q_function, qinv
-from .secc import (SuperAlphabet, asymmetry_witness, per_input_information,
-                   secc_capacity, secc_uniform_rate, super_alphabet)
+from .oracle import (asymmetry_witness, cscc_composition_rate_bruteforce,
+                     per_input_information, vector_channel)
+from .secc import (SuperAlphabet, secc_capacity, secc_uniform_rate,
+                   super_alphabet)
 from .typeclass import (Composition, FeasibleSet, composition_count,
                         enumerate_compositions, feasible_compositions,
                         log_type_class_size, materialize_type_class, rate_loss,

@@ -9,8 +9,8 @@ output type class:
 
 where y_Q is a canonical representative (symbols sorted ascending) of output
 class Q, P(y_Q) is the uniform-input output probability, and H(Y|X) comes
-from the pairwise law p(x) w(y|x).  A brute-force materialization of the full
-vector channel is kept alongside as the certifying oracle at desk scale.
+from the pairwise law p(x) w(y|x).  The brute-force vector channel that
+certifies this reduction lives in :mod:`subblock.oracle`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .channel import (Channel, as_distribution, conditional_entropy, entropy,
+from .channel import (Channel, as_distribution, conditional_entropy,
                       mutual_information)
 from .errors import DomainError, Infeasible, SizeLimit
 from .typeclass import (Composition, composition_count, enumerate_compositions,
@@ -30,7 +30,6 @@ from .typeclass import (Composition, composition_count, enumerate_compositions,
 
 CLASS_CAP = 10**6          # sequences materialized per input type class
 OUTPUT_TYPE_CAP = 10**5    # number of output type classes
-ORACLE_CAP = 10**7         # entries of the fully materialized vector channel
 RATE_TIE_TOL = 1e-12
 NEWTON_MAX_STEPS = 500     # steps of one barrier Newton solve
 LN2 = math.log(2.0)
@@ -59,14 +58,9 @@ class OutputType:
     size: int
 
 
-def output_types(output_size: int, length: int,
-                 cap: int = OUTPUT_TYPE_CAP) -> Iterator[OutputType]:
-    """Iterate over output type classes with canonical representatives."""
-    if composition_count(output_size, length) > cap:
-        raise SizeLimit(
-            f"{composition_count(output_size, length)} output type classes "
-            f"exceed the cap of {cap}"
-        )
+def output_types(output_size: int, length: int) -> Iterator[OutputType]:
+    """Iterate over output type classes with canonical representatives;
+    :func:`check_class_caps` bounds their number."""
     symbols = np.arange(output_size, dtype=np.int16)
     for comp in enumerate_compositions(output_size, length):
         rep = np.repeat(symbols, comp.counts)
@@ -86,33 +80,30 @@ def _class_output_probability(w: np.ndarray, sequences: np.ndarray,
     return math.fsum(parts) / n
 
 
-def check_class_caps(ch: Channel, compositions, length: int, *,
-                     class_cap: int = CLASS_CAP,
-                     output_type_cap: int = OUTPUT_TYPE_CAP) -> None:
+def check_class_caps(ch: Channel, compositions, length: int) -> None:
     """Raise :class:`SizeLimit` from closed-form counts, before anything is
-    materialized, if an input type class or the output type classes of
-    length ``length`` exceed their caps."""
+    materialized, if an input type class exceeds ``CLASS_CAP`` or the output
+    type classes of length ``length`` exceed ``OUTPUT_TYPE_CAP``."""
     n_out = composition_count(ch.output_size, length)
-    if n_out > output_type_cap:
+    if n_out > OUTPUT_TYPE_CAP:
         raise SizeLimit(
-            f"{n_out} output type classes exceed the cap of {output_type_cap}")
+            f"{n_out} output type classes exceed the cap of {OUTPUT_TYPE_CAP}")
     for comp in compositions:
         n = type_class_size(comp)
-        if n > class_cap:
+        if n > CLASS_CAP:
             raise SizeLimit(f"type class {comp.counts} has {n} sequences, "
-                            f"above the cap of {class_cap}")
+                            f"above the cap of {CLASS_CAP}")
 
 
 def class_output_law(ch: Channel, composition: Composition,
-                     otypes: list[OutputType], *,
-                     class_cap: int = CLASS_CAP) -> np.ndarray:
+                     otypes: list[OutputType]) -> np.ndarray:
     """P(y_Q) for every output type class Q in ``otypes`` (from
     :func:`output_types` at the composition's length), with the input uniform
     on the type class of ``composition``.  By symmetry every member of class
     Q has this probability."""
     if composition.alphabet_size != ch.input_size:
         raise DomainError("composition alphabet does not match the channel")
-    sequences = materialize_type_class(composition, cap=class_cap)
+    sequences = materialize_type_class(composition, cap=CLASS_CAP)
     law = np.array([_class_output_probability(ch.w, sequences, otype.representative)
                     for otype in otypes])
     law.setflags(write=False)
@@ -131,80 +122,28 @@ def symmetric_rate(ch: Channel, otypes: list[OutputType], law: np.ndarray,
         - conditional_entropy(ch, marginal)
 
 
-def cscc_composition_rate(ch: Channel, composition: Composition, *,
-                          class_cap: int = CLASS_CAP,
-                          output_type_cap: int = OUTPUT_TYPE_CAP) -> CapacityResult:
+def cscc_composition_rate(ch: Channel, composition: Composition) -> CapacityResult:
     """CSCC rate (bits/use) for a fixed subblock composition, via the
     symmetry-reduced output-type sum."""
-    otypes = list(output_types(ch.output_size, composition.length, cap=output_type_cap))
-    law = class_output_law(ch, composition, otypes, class_cap=class_cap)
+    check_class_caps(ch, [composition], composition.length)
+    otypes = list(output_types(ch.output_size, composition.length))
+    law = class_output_law(ch, composition, otypes)
     rate = symmetric_rate(ch, otypes, law, composition.probabilities())
     return CapacityResult(rate=max(rate, 0.0), composition=composition)
 
 
-def all_output_sequences(output_size: int, length: int) -> np.ndarray:
-    """All length-L output sequences in lexicographic order, as an
-    (output_size**L, L) integer array."""
-    n = output_size ** length
-    idx = np.arange(n, dtype=np.int64)
-    powers = output_size ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    out = ((idx[:, None] // powers[None, :]) % output_size).astype(np.int16)
-    out.setflags(write=False)
-    return out
-
-
-def vector_channel(ch: Channel, composition: Composition, *,
-                   cap: int = ORACLE_CAP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Materialize the induced L-use channel restricted to one type class.
-
-    Returns ``(inputs, outputs, matrix)`` where ``matrix[i, j]`` is the
-    product transition probability from input sequence i to output sequence j.
-    """
-    length = composition.length
-    n_in = type_class_size(composition)
-    n_out = ch.output_size ** length
-    if n_in * n_out > cap:
-        raise SizeLimit(
-            f"vector channel needs {n_in * n_out} entries, above the cap of {cap}"
-        )
-    inputs = materialize_type_class(composition, cap=cap)
-    outputs = all_output_sequences(ch.output_size, length)
-    matrix = np.ones((n_in, n_out), dtype=float)
-    for k in range(length):
-        matrix *= ch.w[inputs[:, k, None], outputs[None, :, k]]
-    return inputs, outputs, matrix
-
-
-def cscc_composition_rate_bruteforce(ch: Channel, composition: Composition, *,
-                                     cap: int = ORACLE_CAP) -> float:
-    """Oracle for :func:`cscc_composition_rate`: (1/L) I(X_1^L; Y_1^L) with the
-    input uniform on the type class, from the fully materialized vector channel."""
-    _, _, matrix = vector_channel(ch, composition, cap=cap)
-    length = composition.length
-    p_y = matrix.mean(axis=0)
-    h_out = -math.fsum(q * math.log2(q) for q in p_y if q > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row_terms = np.where(matrix > 0.0, matrix * np.log2(np.where(matrix > 0.0, matrix, 1.0)), 0.0)
-    h_cond = -math.fsum(row_terms.sum(axis=1)) / matrix.shape[0]
-    return (h_out - h_cond) / length
-
-
-def cscc_capacity(ch: Channel, length: int, threshold: float, *,
-                  class_cap: int = CLASS_CAP,
-                  output_type_cap: int = OUTPUT_TYPE_CAP) -> CapacityResult:
+def cscc_capacity(ch: Channel, length: int, threshold: float) -> CapacityResult:
     """CSCC capacity: the best fixed composition among the energy-feasible set.
 
     Ties within ``RATE_TIE_TOL`` go to the composition with the larger mean
     energy, then to the lexicographically smallest counts vector.
     """
     feasible = feasible_compositions(ch, length, threshold)
-    check_class_caps(ch, feasible, length, class_cap=class_cap,
-                     output_type_cap=output_type_cap)
+    check_class_caps(ch, feasible, length)
     best: CapacityResult | None = None
     best_energy = -1.0
     for comp in feasible:
-        res = cscc_composition_rate(ch, comp, class_cap=class_cap,
-                                    output_type_cap=output_type_cap)
+        res = cscc_composition_rate(ch, comp)
         if best is None or res.rate > best.rate + RATE_TIE_TOL:
             best, best_energy = res, comp.mean_energy(ch.energy)
             continue

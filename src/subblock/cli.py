@@ -21,19 +21,17 @@ import numpy as np
 from . import validation
 from .bounds import (cscc_rate_lower_bound_bsc, penalty_bound_bec,
                      penalty_bound_bsc, penalty_bound_z)
-from .capacity import (CLASS_CAP, OUTPUT_TYPE_CAP, capacity_power,
-                       ccc_composition_rate, check_class_caps, cscc_capacity,
-                       cscc_composition_rate)
+from .capacity import (capacity_power, ccc_composition_rate, check_class_caps,
+                       cscc_capacity, cscc_composition_rate)
 from .channel import Channel
 from .energy import (BufferConfig, balanced_composition, cscc_sequence,
                      max_subblock_length, simulate, worst_case_drawdown)
 from .errors import DomainError, Infeasible, SizeLimit
 from .exponent import exponent_curve
 from .finiteblock import lsd_rate_bsc
-from .secc import (asymmetry_witness, secc_capacity, secc_uniform_rate,
-                   super_alphabet)
-from .typeclass import (Composition, composition_count, rate_loss,
-                        type_class_size)
+from .oracle import asymmetry_witness
+from .secc import secc_capacity, secc_uniform_rate
+from .typeclass import Composition, rate_loss
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -202,14 +200,6 @@ def cmd_capacity_power(args) -> int:
     return EXIT_OK
 
 
-def _secc_exact_within_caps(ch: Channel, length: int, threshold: float) -> bool:
-    try:
-        check_class_caps(ch, super_alphabet(ch, length, threshold).compositions, length)
-    except (Infeasible, SizeLimit):
-        return False
-    return True
-
-
 def cmd_secc(args) -> int:
     if args.asymmetry:
         grid = parse_grid(_require(args.p0_values, "--p0-values"))
@@ -220,39 +210,32 @@ def cmd_secc(args) -> int:
         write_csv(args.output, ["p0", "info_01", "info_11"], rows)
         return EXIT_OK
 
-    length = args.L
     if args.p0_values:
         if not args.channel.lower().startswith("bsc"):
             raise DomainError("--p0-values sweeps require a bsc channel family")
-        grid = parse_grid(args.p0_values)
-        threshold = args.B
-        exact = args.exact_secc and _secc_exact_within_caps(
-            parse_channel("bsc:0.1", args.b), length, threshold)
-        header = ["p0", "cscc", "secc_uniform"] + (["secc"] if exact else []) + ["ccc"]
+        grid, column = parse_grid(args.p0_values), "p0"
 
-        def point(p0):
+        def setting(p0):
             ch = Channel.bsc(p0) if args.b is None else parse_channel(f"bsc:{p0}", args.b)
-            row = [p0, cscc_capacity(ch, length, threshold).rate,
-                   secc_uniform_rate(ch, length, threshold)]
-            if exact:
-                row.append(secc_capacity(ch, length, threshold).rate)
-            row.append(capacity_power(ch, threshold).rate)
-            return row
+            return ch, args.B
+    else:
+        fixed = parse_channel(args.channel, args.b)
+        grid, column = parse_grid(_require(args.b_values, "--b-values or --p0-values")), "B"
 
-        write_csv(args.output, header, map_ordered(point, grid))
-        return EXIT_OK
+        def setting(threshold):
+            return fixed, threshold
 
-    ch = parse_channel(args.channel, args.b)
-    grid = parse_grid(_require(args.b_values, "--b-values or --p0-values"))
-    exact = args.exact_secc and all(
-        _secc_exact_within_caps(ch, length, t) for t in grid)
-    header = ["B", "cscc", "secc_uniform"] + (["secc"] if exact else []) + ["ccc"]
+    # Exact SECC needs no cap gate of its own: its classes are the feasible
+    # classes of CSCC, which comes first in each row and raises on the same caps.
+    exact = args.exact_secc
+    header = [column, "cscc", "secc_uniform"] + (["secc"] if exact else []) + ["ccc"]
 
-    def point(threshold):
-        row = [threshold, cscc_capacity(ch, length, threshold).rate,
-               secc_uniform_rate(ch, length, threshold)]
+    def point(value):
+        ch, threshold = setting(value)
+        row = [value, cscc_capacity(ch, args.L, threshold).rate,
+               secc_uniform_rate(ch, args.L, threshold)]
         if exact:
-            row.append(secc_capacity(ch, length, threshold).rate)
+            row.append(secc_capacity(ch, args.L, threshold).rate)
         row.append(capacity_power(ch, threshold).rate)
         return row
 
@@ -260,37 +243,37 @@ def cmd_secc(args) -> int:
     return EXIT_OK
 
 
+PENALTY_FAMILIES = {"bsc": (Channel.bsc, penalty_bound_bsc),
+                    "bec": (Channel.bec, penalty_bound_bec),
+                    "z": (Channel.z, penalty_bound_z)}
+
+
 def cmd_penalty(args) -> int:
     family = args.channel.lower().partition(":")[0]
+    if family not in PENALTY_FAMILIES:
+        raise DomainError(f"unknown penalty family {args.channel!r}")
+    make_channel, penalty_bound = PENALTY_FAMILIES[family]
     comp = _parse_composition(args.P)
     if comp.length != args.L:
         raise DomainError("--P counts must sum to --L")
     loss = rate_loss(comp)
-    exact_ok = type_class_size(comp) <= CLASS_CAP and \
-        composition_count(3 if family == "bec" else 2, comp.length) <= OUTPUT_TYPE_CAP
-    if family == "bec":
-        grid = parse_grid(_require(args.eps, "--eps"))
-    else:
-        grid = parse_grid(_require(args.p0, "--p0"))
-    header = [("eps" if family == "bec" else "p0")]
-    if exact_ok:
-        header.append("penalty_exact")
-    header += ["bound", "rate_loss"]
+    column = "eps" if family == "bec" else "p0"
+    grid = parse_grid(_require(getattr(args, column), f"--{column}"))
+    # the exact column is left out, not the command, when it is beyond the caps
+    try:
+        check_class_caps(make_channel(grid[0]), [comp], comp.length)
+        exact = True
+    except SizeLimit:
+        exact = False
+    header = [column] + (["penalty_exact"] if exact else []) + ["bound", "rate_loss"]
 
     def point(value):
-        if family == "bsc":
-            ch, bound = Channel.bsc(value), penalty_bound_bsc(value, comp).upper
-        elif family == "bec":
-            ch, bound = Channel.bec(value), penalty_bound_bec(value, comp).upper
-        elif family == "z":
-            ch, bound = Channel.z(value), penalty_bound_z(value, comp).upper
-        else:
-            raise DomainError(f"unknown penalty family {args.channel!r}")
+        ch = make_channel(value)
         row = [value]
-        if exact_ok:
+        if exact:
             row.append(ccc_composition_rate(ch, comp)
                        - cscc_composition_rate(ch, comp).rate)
-        row += [bound, loss]
+        row += [penalty_bound(value, comp).upper, loss]
         return row
 
     write_csv(args.output, header, map_ordered(point, grid))

@@ -1,6 +1,6 @@
 """Subblock energy-constrained codes: the enlarged super-letter alphabet, the
-uniform-input rate, exact capacity via Blahut-Arimoto on the class-lumped
-channel, and the uniform-input asymmetry witness.
+uniform-input rate, and exact capacity via Blahut-Arimoto on the class-lumped
+channel.
 
 Unlike the CSCC vector channel, the SECC vector channel mixes several type
 classes and need not be symmetric, so the uniform super-letter distribution is
@@ -13,7 +13,8 @@ class; given the class, the output type is a sufficient statistic.  Hence
 
 over distributions pi on the feasible classes, where the class-to-output-type
 channel is W[P, Q] = |T_Q| P(y_Q | P).  Both terms come from one per-class
-output law, so each class is evaluated once.
+output law, so each class is evaluated once.  The super-letter vector channel
+and the per-sequence asymmetry witness are in :mod:`subblock.oracle`.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (CLASS_CAP, OUTPUT_TYPE_CAP, CapacityResult, OutputType,
-                       all_output_sequences, check_class_caps, class_output_law,
-                       maximize_information, output_types,
+from .capacity import (CapacityResult, OutputType, check_class_caps,
+                       class_output_law, maximize_information, output_types,
                        symmetric_rate)
 from .channel import Channel
-from .errors import DomainError
 from .typeclass import Composition, feasible_compositions, type_class_size
 
 LN2 = math.log(2.0)
@@ -62,16 +61,13 @@ class SuperAlphabet:
         weights.setflags(write=False)
         return weights
 
-    def output_laws(self, ch: Channel, *, class_cap: int = CLASS_CAP,
-                    output_type_cap: int = OUTPUT_TYPE_CAP
-                    ) -> tuple[list[OutputType], np.ndarray]:
+    def output_laws(self, ch: Channel) -> tuple[list[OutputType], np.ndarray]:
         """The output type classes, in :func:`output_types` order, and
         P(y_Q | P): one row per class, one column per output type class.
         Every cap is checked before any class is materialized."""
-        check_class_caps(ch, self.compositions, self.length, class_cap=class_cap,
-                         output_type_cap=output_type_cap)
-        otypes = list(output_types(ch.output_size, self.length, cap=output_type_cap))
-        return otypes, np.array([class_output_law(ch, comp, otypes, class_cap=class_cap)
+        check_class_caps(ch, self.compositions, self.length)
+        otypes = list(output_types(ch.output_size, self.length))
+        return otypes, np.array([class_output_law(ch, comp, otypes)
                                  for comp in self.compositions])
 
 
@@ -82,9 +78,7 @@ def super_alphabet(ch: Channel, length: int, threshold: float) -> SuperAlphabet:
                          class_sizes=tuple(type_class_size(c) for c in comps))
 
 
-def secc_uniform_rate(ch: Channel, length: int, threshold: float, *,
-                      class_cap: int = CLASS_CAP,
-                      output_type_cap: int = OUTPUT_TYPE_CAP) -> float:
+def secc_uniform_rate(ch: Channel, length: int, threshold: float) -> float:
     """Rate (bits/use) achieved by the uniform distribution over the
     super-alphabet.
 
@@ -93,16 +87,13 @@ def secc_uniform_rate(ch: Channel, length: int, threshold: float, *,
     mixture pairwise law sum_P (|T_P|/|A|) P(x) w(y|x).
     """
     alpha = super_alphabet(ch, length, threshold)
-    otypes, laws = alpha.output_laws(ch, class_cap=class_cap,
-                                     output_type_cap=output_type_cap)
+    otypes, laws = alpha.output_laws(ch)
     return symmetric_rate(ch, otypes, alpha.class_weights() @ laws,
                           alpha.symbol_marginal())
 
 
 def secc_capacity(ch: Channel, length: int, threshold: float,
-                  tol: float = 1e-9, *, class_cap: int = CLASS_CAP,
-                  output_type_cap: int = OUTPUT_TYPE_CAP,
-                  max_iter: int = 100_000) -> CapacityResult:
+                  tol: float = 1e-9, *, max_iter: int = 100_000) -> CapacityResult:
     """Exact SECC capacity (bits/use): Blahut-Arimoto over the class-lumped
     channel with the per-class CSCC information as a bonus, duality-gap
     certified to ``tol``.  If ``max_iter`` iterations leave the gap above
@@ -114,8 +105,7 @@ def secc_capacity(ch: Channel, length: int, threshold: float,
     super-letter of class P carries weight / |T_P|.
     """
     alpha = super_alphabet(ch, length, threshold)
-    otypes, laws = alpha.output_laws(ch, class_cap=class_cap,
-                                     output_type_cap=output_type_cap)
+    otypes, laws = alpha.output_laws(ch)
     bonus = np.array([LN2 * length * symmetric_rate(ch, otypes, law, comp.probabilities())
                       for comp, law in zip(alpha.compositions, laws)])
     lumped = laws * np.array([float(otype.size) for otype in otypes])
@@ -129,36 +119,3 @@ def secc_capacity(ch: Channel, length: int, threshold: float,
     return CapacityResult(rate=max(rate, 0.0), distribution=p, iterations=iterations,
                           residual=gap / LN2 / length)
 
-
-def per_input_information(ch: Channel, sequences) -> np.ndarray:
-    """I(X_1^L = x; Y_1^L) for each listed input sequence, with the input
-    uniform over the listed sequences.  Sums use fsum, so permuting a
-    sequence's coordinates permutes terms without changing the result."""
-    seq = np.asarray(sequences, dtype=np.int64)
-    if seq.ndim != 2:
-        raise DomainError("sequences must be a 2-D array of symbol indices")
-    matrix = np.ones((seq.shape[0], ch.output_size ** seq.shape[1]), dtype=float)
-    outputs = all_output_sequences(ch.output_size, seq.shape[1])
-    for k in range(seq.shape[1]):
-        matrix *= ch.w[seq[:, k, None], outputs[None, :, k]]
-    p_y = matrix.mean(axis=0)
-    out = np.empty(seq.shape[0])
-    for i in range(seq.shape[0]):
-        out[i] = math.fsum(
-            m * math.log2(m / q)
-            for m, q in zip(matrix[i], p_y) if m > 0.0
-        )
-    return out
-
-
-def asymmetry_witness(p0: float) -> tuple[float, float]:
-    """The canonical uniform-input asymmetry check: BSC(p0), b = (0, 1),
-    threshold 0.5, subblocks of length 2, so the super-alphabet is
-    {01, 10, 11}.  Returns (I(01; Y), I(11; Y)) under the uniform input;
-    the two differ for 0 < p0 < 0.5, so uniform is not capacity-achieving
-    even though the underlying channel is symmetric."""
-    if not 0.0 < p0 < 0.5:
-        raise DomainError("crossover probability must lie in (0, 0.5)")
-    ch = Channel.bsc(p0)
-    info = per_input_information(ch, [(0, 1), (1, 0), (1, 1)])
-    return float(info[0]), float(info[2])

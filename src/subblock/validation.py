@@ -19,14 +19,16 @@ import numpy as np
 from .bounds import (cscc_rate_lower_bound_bsc, penalty_bound_bec,
                      penalty_bound_bsc, penalty_bound_z)
 from .capacity import (capacity_power, ccc_composition_rate, cscc_capacity,
-                       cscc_composition_rate, cscc_composition_rate_bruteforce)
+                       cscc_composition_rate)
 from .channel import Channel, mutual_information
 from .energy import (BufferConfig, adversarial_codeword, balanced_composition,
                      cscc_sequence, max_subblock_length, simulate,
                      worst_case_drawdown)
 from .exponent import critical_rate, sphere_packing, sphere_packing_solution
 from .finiteblock import lsd_rate_bsc
-from .secc import asymmetry_witness, per_input_information, secc_capacity, secc_uniform_rate
+from .oracle import (asymmetry_witness, cscc_composition_rate_bruteforce,
+                     grid_oracle_esp_bsc, per_input_information)
+from .secc import secc_capacity, secc_uniform_rate
 from .typeclass import Composition, rate_loss
 
 DEFAULT_SEED = 20240517
@@ -201,7 +203,7 @@ def check_exponents() -> CriterionResult:
             values.append(sol.divergence)
             if abs(sol.rate - rate) > 1e-8:
                 failures.append(f"KKT violated at p0={p0}, R={rate:.4f}")
-            oracle = _grid_oracle_esp_bsc(p0, float(rate))
+            oracle = grid_oracle_esp_bsc(p0, float(rate))
             if abs(sol.divergence - oracle) > 1e-5:
                 failures.append(
                     f"oracle mismatch p0={p0} R={rate:.4f}: "
@@ -219,29 +221,6 @@ def check_exponents() -> CriterionResult:
         if abs(e_at_crit - crit.divergence) > 1e-9:
             failures.append(f"E_r discontinuous at the critical rate for p0={p0}")
     return _result(5, "error exponents", failures, "oracle match <= 1e-5")
-
-
-def _grid_oracle_esp_bsc(p0: float, rate: float, levels: int = 4) -> float:
-    """Brute-force sphere-packing oracle for a BSC with uniform input:
-    scan symmetric channels BSC(q), keep those with rate <= R, take the
-    smallest divergence, then zoom.  Independent of the fixed-point path."""
-    def diverg(q):
-        return q * math.log2(q / p0) + (1 - q) * math.log2((1 - q) / (1 - p0))
-
-    def info(q):
-        if not 0.0 < q < 1.0:
-            return 1.0
-        return 1.0 + q * math.log2(q) + (1 - q) * math.log2(1 - q)
-
-    lo, hi = 1e-9, 0.5
-    best = math.inf
-    for _ in range(levels):
-        qs = np.linspace(lo, hi, 20001)
-        feasible = [(diverg(q), q) for q in qs if info(q) <= rate]
-        best, q_best = min(feasible)
-        step = (hi - lo) / 20000
-        lo, hi = max(q_best - 2 * step, 1e-12), min(q_best + 2 * step, 0.5)
-    return best
 
 
 def check_energy_bound(seed: int = DEFAULT_SEED) -> CriterionResult:

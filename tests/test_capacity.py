@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,7 @@ from subblock import (Channel, Composition, EmptyFeasibleSet, Infeasible,
                       cscc_capacity, cscc_composition_rate,
                       cscc_composition_rate_bruteforce, feasible_compositions,
                       mutual_information, type_class_size, vector_channel)
-
-from oracles import two_input_ccc
+from subblock.oracle import two_input_ccc
 
 
 def bsc(p0):
@@ -105,11 +106,12 @@ def test_cscc_capacity_monotone_in_subblock_length():
 
 
 def test_size_limits():
-    comp = Composition((10, 10))
-    with pytest.raises(SizeLimit):
-        cscc_composition_rate(bsc(0.1), comp, class_cap=1000)
-    with pytest.raises(SizeLimit):
-        cscc_composition_rate_bruteforce(bsc(0.1), comp, cap=10**4)
+    # 2,704,156 sequences, above the class cap
+    with pytest.raises(SizeLimit, match="type class"):
+        cscc_composition_rate(bsc(0.1), Composition((12, 12)))
+    # 184,756 sequences x 2**20 outputs, above the oracle's entry cap
+    with pytest.raises(SizeLimit, match="vector channel"):
+        cscc_composition_rate_bruteforce(bsc(0.1), Composition((10, 10)))
 
 
 def test_ccc_composition_rate():
@@ -218,3 +220,17 @@ def test_vector_channel_rows_are_distributions():
     _, _, matrix = vector_channel(bsc(0.3), comp)
     assert matrix.shape == (type_class_size(comp), 16)
     assert np.abs(matrix.sum(axis=1) - 1.0).max() < 1e-12
+
+
+def test_fast_path_does_not_import_the_oracle():
+    package = Path(__file__).parents[1] / "src" / "subblock"
+    for name in ("capacity.py", "secc.py", "typeclass.py"):
+        tree = ast.parse((package / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(m.split(".")[-1] == "oracle" for m in modules), name

@@ -2,10 +2,26 @@ import csv
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from subblock.cli import main, parse_channel, parse_grid
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# the README's figure commands; their CSVs are pinned byte for byte
+README_COMMANDS = {
+    "fig3.csv": "cscc-capacity --channel bsc:0.1 --b-values 0:1:0.05 --L 2,4,8 --ccc",
+    "fig4.csv": "cscc-capacity --channel bsc:0.01 --emax-values 1:8:0.5 --B 0.5",
+    "fig5.csv": "penalty --channel bsc --p0 0:0.5:0.01 --L 16 --P 8,8",
+    "fig6.csv": "secc --channel noiseless:2 --L 8 --b-values 0:1:0.05",
+    "fig7.csv": "secc --channel bsc --L 8 --B 0.6 --p0-values 0:0.5:0.01",
+    "fig8.csv": "secc --asymmetry --L 2 --p0-values 0.01:0.49:0.01",
+    "exponents.csv": "exponent --channel bsc:0.1 --r-values 0.02:0.5:0.02",
+    "trace.csv": "energy-sim --channel builtin --b 0,1 --B 0.5 --emax 4 --L 9 --adversarial",
+    "fig9.csv": "lsd --p 0.11 --n-values 16,32,64,128,256,512 --epsilon 1e-3,1e-6",
+}
 
 
 def run_cli(args, env_extra=None, **kwargs):
@@ -66,6 +82,17 @@ def test_penalty_csv(tmp_path):
     for row in rows[1:]:
         exact, bound, loss = (float(v) for v in row[1:])
         assert -1e-9 <= exact <= bound + 1e-9 <= loss + 1e-9
+
+
+def test_penalty_omits_exact_column_beyond_caps(tmp_path):
+    # the balanced class of length 24 is above the class cap; the bounds
+    # need no enumeration, so only the exact column goes
+    out = tmp_path / "penalty.csv"
+    assert main(["penalty", "--channel", "bsc", "--p0", "0.1,0.2",
+                 "--L", "24", "--P", "12,12", "-o", str(out)]) == 0
+    rows = read_csv(out)
+    assert rows[0] == ["p0", "bound", "rate_loss"]
+    assert len(rows) == 3
 
 
 def test_energy_sim_adversarial_reports_outage(tmp_path):
@@ -133,6 +160,8 @@ def test_exit_code_size_limit():
                       "--b-values", "0.5", "--L", "64"])
     assert result.returncode == 3
     assert "cap" in result.stderr
+    assert main(["secc", "--channel", "bsc:0.1", "--L", "24",
+                 "--b-values", "0.5"]) == 3
 
 
 def test_secc_sweep(tmp_path):
@@ -210,3 +239,10 @@ def test_main_direct_invocation(capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("n,lsd_eps0.001")
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_command_matches_golden_csv(name, tmp_path):
+    out = tmp_path / name
+    assert main([*README_COMMANDS[name].split(), "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

@@ -8,30 +8,9 @@ from subblock import (Channel, Composition, DomainError, critical_rate,
                       exponent_curve, mutual_information, random_coding,
                       rate_loss, sphere_packing, sphere_packing_solution,
                       tilted_fixed_point)
+from subblock.oracle import grid_oracle_esp_bsc
 
 UNIFORM = np.array([0.5, 0.5])
-
-
-def grid_oracle_esp_bsc(p0, rate, levels=4):
-    """Brute-force sphere-packing oracle: scan symmetric channels BSC(q),
-    keep those whose mutual information is at most the rate, minimize the
-    divergence, zoom in."""
-    def diverg(q):
-        return q * math.log2(q / p0) + (1 - q) * math.log2((1 - q) / (1 - p0))
-
-    def info(q):
-        if not 0.0 < q < 1.0:
-            return 1.0
-        return 1.0 + q * math.log2(q) + (1 - q) * math.log2(1 - q)
-
-    lo, hi = 1e-9, 0.5
-    best = q_best = None
-    for _ in range(levels):
-        qs = np.linspace(lo, hi, 20001)
-        best, q_best = min((diverg(q), q) for q in qs if info(q) <= rate)
-        step = (hi - lo) / 20000
-        lo, hi = max(q_best - 2 * step, 1e-12), min(q_best + 2 * step, 0.5)
-    return best
 
 
 def test_fixed_point_at_s_zero():

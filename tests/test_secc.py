@@ -10,11 +10,9 @@ from subblock import (Channel, Composition, DomainError, EmptyFeasibleSet,
                       SizeLimit, asymmetry_witness, capacity_power,
                       cscc_capacity, cscc_composition_rate,
                       materialize_type_class, per_input_information,
-                      secc_capacity, secc_uniform_rate, super_alphabet,
-                      vector_channel)
+                      secc_capacity, secc_uniform_rate, super_alphabet)
 from subblock.capacity import blahut_arimoto
-
-from oracles import two_input_ccc
+from subblock.oracle import sequence_channel, two_input_ccc, uniform_input_rate
 
 TERNARY = Channel([[0.8, 0.15, 0.05],
                    [0.1, 0.7, 0.2],
@@ -28,29 +26,9 @@ def super_letters(ch, length, threshold):
     return np.concatenate([materialize_type_class(c) for c in alpha.compositions])
 
 
-def brute_force_uniform_rate(ch, sequences):
-    """Independent oracle: I(X_1^L; Y_1^L) / L with X uniform on the listed
-    sequences, computed from the raw product channel."""
-    seqs = np.asarray(sequences)
-    length = seqs.shape[1]
-    n_out = ch.output_size ** length
-    outputs = np.array([[(j // ch.output_size ** (length - 1 - k)) % ch.output_size
-                         for k in range(length)] for j in range(n_out)])
-    matrix = np.ones((seqs.shape[0], n_out))
-    for k in range(length):
-        matrix *= ch.w[seqs[:, k][:, None], outputs[None, :, k]]
-    p_y = matrix.mean(axis=0)
-    h_out = -sum(q * math.log2(q) for q in p_y if q > 0)
-    h_cond = -sum(matrix[i, j] * math.log2(matrix[i, j])
-                  for i in range(matrix.shape[0])
-                  for j in range(n_out) if matrix[i, j] > 0) / matrix.shape[0]
-    return (h_out - h_cond) / length
-
-
 def super_letter_channel(ch, length, threshold):
     """The materialized SECC vector channel, rows ordered as :func:`super_letters`."""
-    alpha = super_alphabet(ch, length, threshold)
-    return np.concatenate([vector_channel(ch, c)[2] for c in alpha.compositions])
+    return sequence_channel(ch, super_letters(ch, length, threshold))
 
 
 def vector_channel_certificate(ch, length, threshold, distribution):
@@ -77,8 +55,10 @@ def test_super_alphabet_size():
     assert np.allclose(alpha.class_weights(), [1 / 3, 2 / 3], rtol=0, atol=1e-15)
     with pytest.raises(EmptyFeasibleSet):
         super_alphabet(ch, 2, 1.5)
-    with pytest.raises(SizeLimit):
-        secc_uniform_rate(ch, 22, 0.0, class_cap=100)
+    # the balanced class of length 24 holds 2,704,156 sequences, above the
+    # class cap; the closed-form count raises before any class is built
+    with pytest.raises(SizeLimit, match="type class"):
+        secc_uniform_rate(ch, 24, 0.0)
 
 
 def test_caps_fail_before_any_class_is_materialized(monkeypatch):
@@ -100,15 +80,12 @@ def test_caps_fail_before_any_class_is_materialized(monkeypatch):
     assert calls == []
 
 
-def test_output_type_cap_can_be_raised():
-    # BSC(0.1) with each output split into 42 equally likely copies: the
-    # copies carry no information, so every rate equals the BSC's, but
-    # L = 3 has 102,340 output type classes, above the default cap
+def test_output_type_cap_at_default():
+    # BSC(0.1) with each output split into 42 equally likely copies: L = 3
+    # has 102,340 output type classes, above the cap
     split = Channel(np.repeat([[0.9, 0.1], [0.1, 0.9]], 42, axis=1) / 42, (0.0, 1.0))
     with pytest.raises(SizeLimit, match="output type classes"):
         secc_capacity(split, 3, 0.5)
-    raised = secc_capacity(split, 3, 0.5, output_type_cap=2 * 10**5)
-    assert abs(raised.rate - secc_capacity(Channel.bsc(0.1), 3, 0.5).rate) <= 1e-9
 
 
 def test_secc_uniform_rate_examples():
@@ -117,7 +94,7 @@ def test_secc_uniform_rate_examples():
     # vacuous constraint: uniform over all sequences of a noiseless channel
     assert abs(secc_uniform_rate(noiseless, 2, 0.0) - 1.0) < 1e-12
     ch = Channel.bsc(0.1)
-    oracle = brute_force_uniform_rate(ch, super_letters(ch, 2, 0.5))
+    oracle = uniform_input_rate(ch, super_letters(ch, 2, 0.5))
     assert abs(secc_uniform_rate(ch, 2, 0.5) - oracle) <= 1e-9
 
 
@@ -126,7 +103,7 @@ def test_secc_uniform_rate_matches_bruteforce_binary():
         ch = Channel.bsc(p0)
         for length, threshold in ((2, 0.5), (3, 0.4), (4, 0.5), (4, 0.7)):
             seqs = super_letters(ch, length, threshold)
-            oracle = brute_force_uniform_rate(ch, seqs)
+            oracle = uniform_input_rate(ch, seqs)
             assert abs(secc_uniform_rate(ch, length, threshold) - oracle) <= 1e-9
 
 
