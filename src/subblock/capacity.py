@@ -164,7 +164,7 @@ def ccc_composition_rate(ch: Channel, composition) -> float:
     return mutual_information(p, ch)
 
 
-# -- constrained Blahut-Arimoto ------------------------------------------------
+# -- maximizing mutual information: Blahut-Arimoto and barrier Newton ----------
 
 
 def _divergences(w: np.ndarray):
@@ -215,18 +215,19 @@ def blahut_arimoto(w: np.ndarray, *, tol_nats: float = 1e-12,
     return p, info, iterations, gap
 
 
-def barrier_newton(w: np.ndarray, *, p_init: np.ndarray, tol_nats: float,
+def barrier_newton(w: np.ndarray, *, tol_nats: float, p_init: np.ndarray | None = None,
                    bonus: np.ndarray | None = None,
                    energy: tuple[np.ndarray, float] | None = None):
     """Maximize I(p, W) + p . bonus over input priors by Newton steps on a
-    log barrier, for small channels on which :func:`blahut_arimoto` stalls:
-    its linear rate tends to one when the channel is nearly useless and some
-    optimal weights are small.
+    log barrier: the optimizer of :func:`capacity_power`, and the finish of
+    :func:`subblock.secc.secc_capacity` where :func:`blahut_arimoto` stalls
+    (its linear rate tends to one when the channel is nearly useless and some
+    optimal weights are small).
 
-    The start is ``p_init`` blended halfway toward uniform.  With
-    ``energy = (b, B)`` the priors are also held to p . b = B, and the start
-    is blended on toward the symbol of largest (or smallest) energy until it
-    meets that hyperplane.
+    The start is ``p_init`` (default uniform) blended halfway toward uniform.
+    With ``energy = (b, B)`` the priors are also held to p . b = B, and the
+    start is blended on toward the symbol of largest (or smallest) energy
+    until it meets that hyperplane.
     Each step solves the equality-constrained Newton (KKT) system of
     F(p) + mu * sum(log p), F having Hessian -W diag(1/pW) W^T, and mu falls
     tenfold once the step's decrement is below mu / 4.  The energy row's
@@ -241,7 +242,8 @@ def barrier_newton(w: np.ndarray, *, p_init: np.ndarray, tol_nats: float,
     n = w.shape[0]
     bonus = np.zeros(n) if bonus is None else np.asarray(bonus, dtype=float)
     evaluate = _divergences(w)
-    p = 0.5 * np.asarray(p_init, dtype=float) + 0.5 / n   # strictly inside
+    start = np.full(n, 1.0 / n) if p_init is None else np.asarray(p_init, dtype=float)
+    p = 0.5 * start + 0.5 / n   # strictly inside
     rows, level = np.ones((1, n)), np.ones(1)
     b, threshold = np.zeros(n), 0.0
     if energy is not None:
@@ -297,32 +299,18 @@ def barrier_newton(w: np.ndarray, *, p_init: np.ndarray, tol_nats: float,
             mu *= 0.1
 
 
-def maximize_information(w: np.ndarray, *, tol_nats: float, max_iter: int,
-                         bonus: np.ndarray | None = None,
-                         p_init: np.ndarray | None = None):
-    """:func:`blahut_arimoto`, finished by :func:`barrier_newton` from its
-    last iterate if ``max_iter`` iterations leave the gap above ``tol_nats``.
-    Newton steps count as iterations; the gap returned is the smaller one."""
-    p, info, iterations, gap = blahut_arimoto(w, tol_nats=tol_nats, max_iter=max_iter,
-                                              bonus=bonus, p_init=p_init)
-    if gap > tol_nats:
-        finish = barrier_newton(w, p_init=p, tol_nats=tol_nats, bonus=bonus)
-        iterations += finish[2]
-        if finish[3] < gap:
-            p, info, _, gap = finish
-    return p, info, iterations, gap
-
-
-def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10, *,
-                   max_iter: int = 100_000) -> CapacityResult:
+def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10) -> CapacityResult:
     """Capacity-power function: max I(P, W) subject to E_P[b] >= threshold.
 
-    If the unconstrained optimizer (:func:`maximize_information`) meets the
-    energy constraint, it is the answer.  Otherwise the constraint is active,
-    and one :func:`barrier_newton` solve on {sum P = 1, E_P[b] = threshold}
-    gives the optimizer and the Lagrange multiplier of the energy row
-    together.  ``residual`` reports the certified weak-duality gap in bits,
-    and ``iterations`` counts Blahut-Arimoto iterations plus Newton steps.
+    A cold-start :func:`barrier_newton` solve from the uniform prior gives the
+    unconstrained optimizer; if it meets the energy constraint, it is the
+    answer.  At threshold = b_max only the maximum-energy symbols are
+    feasible, and the same solve runs on their rows.  Otherwise the
+    constraint is active, and one :func:`barrier_newton` solve on
+    {sum P = 1, E_P[b] = threshold}, started from the unconstrained
+    optimizer, gives the optimizer and the Lagrange multiplier of the energy
+    row together.  ``residual`` reports the certified weak-duality gap in
+    bits, and ``iterations`` counts Newton steps.
     """
     if threshold > ch.b_max + 1e-12:
         raise Infeasible(
@@ -331,7 +319,7 @@ def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10, *,
     b = ch.energy
     tol_nats = max(tol * LN2 / 2.0, 1e-14)
 
-    p, info, iters, gap = maximize_information(ch.w, tol_nats=tol_nats, max_iter=max_iter)
+    p, info, iters, gap = barrier_newton(ch.w, tol_nats=tol_nats)
     if float(p @ b) >= threshold - 1e-12:
         return CapacityResult(rate=info / LN2, distribution=p,
                               iterations=iters, residual=gap / LN2)
@@ -339,8 +327,7 @@ def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10, *,
     if ch.b_max - threshold <= 1e-12:
         # only the maximum-energy symbols are feasible
         keep = b >= ch.b_max - 1e-12
-        sub_p, sub_info, sub_iters, gap = maximize_information(
-            ch.w[keep], tol_nats=tol_nats, max_iter=max_iter)
+        sub_p, sub_info, sub_iters, gap = barrier_newton(ch.w[keep], tol_nats=tol_nats)
         full = np.zeros(ch.input_size)
         full[keep] = sub_p
         return CapacityResult(rate=sub_info / LN2, distribution=full,

@@ -21,6 +21,8 @@ from .errors import DomainError, NoConvergence
 from .typeclass import Composition, rate_loss
 
 _MONOTONE_SLACK = 1e-9
+FIXED_POINT_TOL = 1e-12        # max-abs marginal change that ends a fixed point
+FIXED_POINT_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -59,13 +61,14 @@ def _tilt_rows(wpow: np.ndarray, pv: np.ndarray, s: float,
     return np.where(denom[:, None] > 0.0, v, w)
 
 
-def tilted_fixed_point(ch: Channel, input_dist, s: float, tol: float = 1e-12,
-                       max_iter: int = 100_000) -> TiltedSolution:
+def tilted_fixed_point(ch: Channel, input_dist, s: float,
+                       tol: float = FIXED_POINT_TOL) -> TiltedSolution:
     """Solve the output-marginal fixed point for tilt ``s``.
 
     Iterates pv <- p @ V(pv) from pv = PW until the max-abs change drops below
-    ``tol``.  A 0.5 damping factor engages only if the residuals stop
-    decreasing monotonically over three consecutive steps.
+    ``tol``, for at most ``FIXED_POINT_MAX_ITER`` iterations.  A 0.5 damping
+    factor engages only if the residuals stop decreasing monotonically over
+    three consecutive steps.
     """
     if not 0.0 <= s <= 1.0:
         raise DomainError("tilt parameter must lie in [0, 1]")
@@ -77,7 +80,7 @@ def tilted_fixed_point(ch: Channel, input_dist, s: float, tol: float = 1e-12,
     damped = False
     recent: list[float] = []
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
         v = _tilt_rows(wpow, pv, s, w)
         pv_next = p @ v
         residual = float(np.abs(pv_next - pv).max())
@@ -92,7 +95,8 @@ def tilted_fixed_point(ch: Channel, input_dist, s: float, tol: float = 1e-12,
         pv = 0.5 * (pv + pv_next) if damped else pv_next
     else:
         raise NoConvergence(
-            f"tilted fixed point did not converge at s={s} within {max_iter} iterations"
+            f"tilted fixed point did not converge at s={s} "
+            f"within {FIXED_POINT_MAX_ITER} iterations"
         )
     v = _tilt_rows(wpow, pv, s, w)
     residual = float(np.abs(p @ v - pv).max())
@@ -105,8 +109,7 @@ def tilted_fixed_point(ch: Channel, input_dist, s: float, tol: float = 1e-12,
 
 
 def sphere_packing_solution(ch: Channel, input_dist, rate_target: float,
-                            tol: float = 1e-9, *, fixed_point_tol: float = 1e-12,
-                            max_iter: int = 100_000) -> TiltedSolution:
+                            tol: float = 1e-9) -> TiltedSolution:
     """The tilted solution witnessing E_sp at ``rate_target`` < I(P, W):
     bisect s in [0, 1] until |I(P, V) - rate_target| <= tol.
 
@@ -120,7 +123,7 @@ def sphere_packing_solution(ch: Channel, input_dist, rate_target: float,
     if rate_target >= rate_lo:
         raise DomainError("target rate is not below I(P, W); the exponent is 0")
     lo = 0.0
-    hi_sol = tilted_fixed_point(ch, p, 1.0, fixed_point_tol, max_iter)
+    hi_sol = tilted_fixed_point(ch, p, 1.0)
     hi, rate_hi = 1.0, hi_sol.rate
     if rate_target <= rate_hi - tol:
         # every finite-divergence channel in the family carries more rate
@@ -132,7 +135,7 @@ def sphere_packing_solution(ch: Channel, input_dist, rate_target: float,
         return hi_sol
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        sol = tilted_fixed_point(ch, p, mid, fixed_point_tol, max_iter)
+        sol = tilted_fixed_point(ch, p, mid)
         if sol.rate > rate_lo + _MONOTONE_SLACK or sol.rate < rate_hi - _MONOTONE_SLACK:
             raise NoConvergence(
                 f"rate is not monotone in the tilt near s={mid}; cannot bisect"
@@ -146,8 +149,7 @@ def sphere_packing_solution(ch: Channel, input_dist, rate_target: float,
     raise NoConvergence("tilt bisection exhausted without matching the rate")
 
 
-def sphere_packing(ch: Channel, input_dist, rate: float, tol: float = 1e-9,
-                   **kwargs) -> float:
+def sphere_packing(ch: Channel, input_dist, rate: float, tol: float = 1e-9) -> float:
     """E_sp(R, P, W) in bits: 0 for R >= I(P, W), +inf when no channel with
     finite divergence meets the rate constraint, else the witnessed minimum
     divergence."""
@@ -157,18 +159,17 @@ def sphere_packing(ch: Channel, input_dist, rate: float, tol: float = 1e-9,
     if rate >= mutual_information(p, ch):
         return 0.0
     try:
-        return sphere_packing_solution(ch, p, rate, tol, **kwargs).divergence
+        return sphere_packing_solution(ch, p, rate, tol).divergence
     except NoConvergence as exc:
         if "infinite" in str(exc):
             return math.inf
         raise
 
 
-def critical_rate(ch: Channel, input_dist, tol: float = 1e-12,
-                  max_iter: int = 100_000) -> TiltedSolution:
+def critical_rate(ch: Channel, input_dist) -> TiltedSolution:
     """The s = 1/2 member of the family; its rate is where the sphere-packing
     curve has slope -1, the knee of the random-coding exponent."""
-    return tilted_fixed_point(ch, input_dist, 0.5, tol, max_iter)
+    return tilted_fixed_point(ch, input_dist, 0.5)
 
 
 def random_coding(ch: Channel, input_dist, rate: float, tol: float = 1e-9,

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (CapacityResult, OutputType, check_class_caps,
-                       class_output_law, maximize_information, output_types,
-                       symmetric_rate)
+from .capacity import (CapacityResult, OutputType, barrier_newton,
+                       blahut_arimoto, check_class_caps, class_output_law,
+                       output_types, symmetric_rate)
 from .channel import Channel
 from .typeclass import Composition, feasible_compositions, type_class_size
 
@@ -112,9 +112,14 @@ def secc_capacity(ch: Channel, length: int, threshold: float,
     tol_nats = max(tol * length * LN2, 1e-14)
     # Started from the uniform super-letter input, each iterate is the
     # vector-channel iterate summed over classes, with the same duality gap.
-    p, info_nats, iterations, gap = maximize_information(
+    p, info_nats, iterations, gap = blahut_arimoto(
         lumped, tol_nats=tol_nats, max_iter=max_iter, bonus=bonus,
         p_init=alpha.class_weights())
+    if gap > tol_nats:
+        finish = barrier_newton(lumped, p_init=p, tol_nats=tol_nats, bonus=bonus)
+        iterations += finish[2]
+        if finish[3] < gap:
+            p, info_nats, _, gap = finish
     rate = (info_nats + float(p @ bonus)) / LN2 / length
     return CapacityResult(rate=max(rate, 0.0), distribution=p, iterations=iterations,
                           residual=gap / LN2 / length)

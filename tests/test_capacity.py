@@ -12,7 +12,17 @@ from subblock import (Channel, Composition, EmptyFeasibleSet, Infeasible,
                       cscc_capacity, cscc_composition_rate,
                       cscc_composition_rate_bruteforce, feasible_compositions,
                       mutual_information, type_class_size, vector_channel)
+import subblock.capacity
 from subblock.oracle import two_input_ccc
+
+
+# four inputs, two outputs, an active constraint
+FOUR = Channel([[0.9908187317968873, 0.00918126820311272],
+                [0.00715230569793205, 0.992847694302068],
+                [0.15915686250521668, 0.8408431374947833],
+                [0.00577045061672824, 0.9942295493832718]],
+               (0.4906371043484824, 0.5979971375506575,
+                0.7295786241277247, 0.5247406088032964))
 
 
 def bsc(p0):
@@ -152,13 +162,7 @@ def test_capacity_power_residual_is_certified():
     assert 0.0 <= result.residual <= 1e-9
     assert result.iterations > 0
     # an earlier solver returned 0.62392 bits here with residual 0.121
-    four = Channel([[0.9908187317968873, 0.00918126820311272],
-                    [0.00715230569793205, 0.992847694302068],
-                    [0.15915686250521668, 0.8408431374947833],
-                    [0.00577045061672824, 0.9942295493832718]],
-                   (0.4906371043484824, 0.5979971375506575,
-                    0.7295786241277247, 0.5247406088032964))
-    result = capacity_power(four, 0.6251703124142338)
+    result = capacity_power(FOUR, 0.6251703124142338)
     assert result.residual <= 1e-10
     assert abs(result.rate - 0.637070484594) <= 1e-9
     noiseless = Channel.noiseless(2, (0.0, 1.0))
@@ -175,6 +179,23 @@ def test_capacity_power_nearly_useless_channel():
     assert result.residual <= 1e-10
     assert abs(result.rate - mutual_information([t, 1.0 - t], ch)) <= 1e-12
     assert result.iterations <= 10_000
+    # Blahut-Arimoto took 88,691 iterations on this one
+    ch = Channel([[0.9949, 0.0051], [0.9964, 0.0036]], (0.066, 0.179))
+    result = capacity_power(ch, 0.1727, tol=1e-10)
+    assert result.residual <= 1e-10
+    assert abs(result.rate - two_input_ccc(ch, 0.1727)) <= 1e-9
+    assert result.iterations <= 100
+
+
+def test_capacity_power_makes_no_blahut_arimoto_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("capacity_power called blahut_arimoto")
+
+    monkeypatch.setattr(subblock.capacity, "blahut_arimoto", refuse)
+    # unconstrained, active constraint, and the b_max branch
+    for threshold in (0.3, 0.8, 1.0):
+        assert capacity_power(bsc(0.1), threshold).residual <= 1e-10
+    assert capacity_power(FOUR, 0.6251703124142338).residual <= 1e-10
 
 
 @st.composite
@@ -192,9 +213,7 @@ def random_channels(draw):
 def test_capacity_power_on_random_channels(ch, level):
     b = ch.energy
     threshold = float(b.min() + level * (b.max() - b.min()))
-    # a small Blahut-Arimoto budget sends nearly useless channels to the
-    # Newton finish sooner; the result is certified all the same
-    result = capacity_power(ch, threshold, tol=1e-10, max_iter=5_000)
+    result = capacity_power(ch, threshold, tol=1e-10)
     p = result.distribution
     assert result.residual <= 1e-10
     assert p.min() >= 0.0

@@ -184,7 +184,7 @@ def test_sandwich_on_random_channels(ch, length, level):
     assert secc.residual <= 1e-9
     assert cscc <= secc.rate + 1e-9
     assert secc.rate <= two_input_ccc(ch, threshold) + 1e-9
-    ccc = capacity_power(ch, threshold, max_iter=5_000)
+    ccc = capacity_power(ch, threshold)
     assert ccc.residual <= 1e-10
     assert secc.rate <= ccc.rate + 1e-9
 
