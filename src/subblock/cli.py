@@ -41,6 +41,13 @@ EXIT_SIZE_LIMIT = 3
 # -- argument parsing helpers --------------------------------------------------
 
 
+def _grid_value(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise DomainError(f"grid value {token!r} is not finite")
+    return value
+
+
 def parse_grid(spec: str) -> list[float]:
     """A sweep grid: either 'start:stop:step' (endpoints included within half
     a step) or a comma-separated list."""
@@ -48,7 +55,7 @@ def parse_grid(spec: str) -> list[float]:
         parts = spec.split(":")
         if len(parts) != 3:
             raise DomainError(f"grid {spec!r} must be start:stop:step")
-        start, stop, step = (float(t) for t in parts)
+        start, stop, step = (_grid_value(t) for t in parts)
         if step <= 0:
             raise DomainError("grid step must be positive")
         values = []
@@ -62,7 +69,7 @@ def parse_grid(spec: str) -> list[float]:
         if not values:
             raise DomainError(f"grid {spec!r} is empty")
         return values
-    values = [float(t) for t in spec.split(",") if t.strip()]
+    values = [_grid_value(t) for t in spec.split(",") if t.strip()]
     if not values:
         raise DomainError(f"grid {spec!r} is empty")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -317,7 +324,10 @@ def cmd_energy_sim(args) -> int:
 
 
 def cmd_lsd(args) -> int:
-    grid = [int(v) for v in parse_grid(args.n_values)]
+    grid = parse_grid(args.n_values)
+    if not all(v.is_integer() for v in grid):
+        raise DomainError("blocklengths --n-values must be integers")
+    grid = [int(v) for v in grid]
     epsilons = [float(t) for t in args.epsilon.split(",") if t.strip()]
     capacity = 1.0 + args.p * math.log2(args.p) + (1 - args.p) * math.log2(1 - args.p)
     header = ["n"] + [f"lsd_eps{eps:g}" for eps in epsilons] \

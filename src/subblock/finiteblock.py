@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import erfcinv
+from statistics import NormalDist
 
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
+_STANDARD_NORMAL = NormalDist()
 
 
 def q_function(x: float) -> float:
@@ -32,7 +32,9 @@ def qinv(eps: float) -> float:
     """Inverse Gaussian tail: the x with Q(x) = eps."""
     if not 0.0 < eps < 1.0:
         raise DomainError("tail probability must lie in (0, 1)")
-    return float(_SQRT2 * erfcinv(2.0 * eps))
+    # the lower-tail quantile keeps full precision deep in the tail, where
+    # inv_cdf(1 - eps) would round 1 - eps; "0.0 -" keeps qinv(0.5) at +0.0
+    return 0.0 - _STANDARD_NORMAL.inv_cdf(eps)
 
 
 @dataclass(frozen=True)

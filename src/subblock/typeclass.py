@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .channel import Channel, entropy
 from .errors import DomainError, EmptyFeasibleSet, SizeLimit
@@ -119,8 +118,9 @@ def type_class_size(composition: Composition) -> int:
 def log_type_class_size(composition: Composition) -> float:
     """log2 of the type-class cardinality, computed in the log-gamma domain."""
     L = composition.length
-    value = gammaln(L + 1) - math.fsum(gammaln(c + 1) for c in composition.counts)
-    return float(value) / LN2
+    value = math.lgamma(L + 1) - math.fsum(math.lgamma(c + 1)
+                                           for c in composition.counts)
+    return value / LN2
 
 
 def rate_loss(composition: Composition) -> float:

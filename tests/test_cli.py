@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from subblock import DomainError
 from subblock.cli import main, parse_channel, parse_grid
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -24,13 +25,17 @@ README_COMMANDS = {
 }
 
 
-def run_cli(args, env_extra=None, **kwargs):
+def run_python(args, env_extra=None, **kwargs):
     env = None
     if env_extra:
         env = dict(os.environ)
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "subblock", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, **kwargs)
+
+
+def run_cli(args, env_extra=None, **kwargs):
+    return run_python(["-m", "subblock", *args], env_extra, **kwargs)
 
 
 def read_csv(path):
@@ -44,6 +49,10 @@ def test_parse_grid():
     assert parse_grid("0:0.5:0.1")[-1] == pytest.approx(0.5)
     with pytest.raises(Exception):
         parse_grid("3,2,1")
+    for spec in ("nan", "0,inf", "-inf,1", "1e400", "nan:1:0.1", "0:inf:0.1",
+                 "0:1:nan", "0:1:inf"):
+        with pytest.raises(DomainError, match="finite"):
+            parse_grid(spec)
 
 
 def test_parse_channel_builtins():
@@ -147,6 +156,14 @@ def test_exit_code_infeasible():
     assert result.stderr.strip()
 
 
+def test_exit_code_non_finite_grid():
+    result = run_cli(["capacity-power", "--channel", "bsc:0.1",
+                      "--b-values", "nan"])
+    assert result.returncode == 2
+    assert "finite" in result.stderr
+    assert not result.stdout
+
+
 def test_exit_code_missing_sweep_argument():
     result = run_cli(["secc", "--channel", "bsc:0.1", "--L", "2"])
     assert result.returncode == 2
@@ -198,6 +215,33 @@ def test_lsd_csv(tmp_path):
         assert float(row[1]) > float(row[2])     # looser target, higher rate
         assert float(row[1]) < float(row[3])     # below the joint bound
         assert float(row[3]) < float(row[4])     # bound below capacity
+
+
+def test_lsd_rejects_non_integral_blocklengths(capsys):
+    for spec in ("16.7,32", "1:3:0.5"):
+        assert main(["lsd", "--p", "0.11", "--n-values", spec,
+                     "--epsilon", "1e-3", "-o", "-"]) == 2
+        captured = capsys.readouterr()
+        assert "integers" in captured.err
+        assert not captured.out
+
+
+NO_SCIPY = """
+import os, sys
+sys.modules["scipy"] = None  # every "import scipy..." now fails
+from subblock import cli
+for command in sys.argv[1:]:
+    print(cli.main([*command.split(), "-o", os.devnull]))
+"""
+
+
+def test_commands_run_without_scipy():
+    commands = ["lsd --p 0.11 --n-values 16,32 --epsilon 1e-3,1e-6",
+                "penalty --channel bsc --p0 0.1 --L 8 --P 4,4",
+                "exponent --channel bsc:0.1 --r-values 0.1,0.3"]
+    result = run_python(["-c", NO_SCIPY, *commands])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0"] * len(commands), result.stderr
 
 
 def test_exponent_csv(tmp_path):

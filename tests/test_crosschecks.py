@@ -1,6 +1,7 @@
 """Cross-route checks on less common configurations: ternary alphabets,
-channels with structural zeros, and independent grid oracles for the
-constrained capacity solver."""
+channels with structural zeros, independent grid oracles for the
+constrained capacity solver, and the monotonicity and relabelling
+invariance of the three capacities."""
 
 import math
 
@@ -112,3 +113,48 @@ def test_cscc_capacity_with_unsorted_energies():
     result = cscc_capacity(ch, 4, 0.75)
     assert result.composition.counts == (3, 1)
     assert result.rate > 0.0
+
+
+def _secc_rate(ch, length, threshold):
+    # BA stalls on the ternary channel for tens of thousands of iterations;
+    # the Newton finish after 200 still certifies the gap to tol
+    result = secc_capacity(ch, length, threshold, max_iter=200)
+    assert result.residual <= 1e-9
+    return result.rate
+
+
+def _three_rates(ch, length, threshold):
+    return (cscc_capacity(ch, length, threshold).rate,
+            _secc_rate(ch, length, threshold),
+            capacity_power(ch, threshold).rate)
+
+
+def test_rates_non_increasing_in_threshold():
+    cases = [(Channel.bsc(0.1), (2, 4, 6)), (Channel.z(0.2), (2, 4, 6)),
+             (TERNARY, (2, 4))]
+    for ch, lengths in cases:
+        grid = [ch.b_max * k / 10 for k in range(11)]
+        ccc = [capacity_power(ch, b).rate for b in grid]
+        assert all(b <= a + 1e-9 for a, b in zip(ccc, ccc[1:]))
+        for length in lengths:
+            cscc = [cscc_capacity(ch, length, b).rate for b in grid]
+            secc = [_secc_rate(ch, length, b) for b in grid]
+            for rates in (cscc, secc):
+                assert all(b <= a + 1e-9 for a, b in zip(rates, rates[1:]))
+
+
+def test_rates_invariant_under_relabelling():
+    for ch in (Channel.z(0.2), TERNARY):
+        rows = np.roll(np.arange(ch.input_size), 1)
+        columns = np.roll(np.arange(ch.output_size), 1)
+        relabelled = (Channel(ch.w[:, ::-1], ch.energy),
+                      Channel(ch.w[::-1], ch.energy[::-1]),
+                      Channel(ch.w[rows][:, columns], ch.energy[rows]))
+        for length in (2, 4):
+            for threshold in (0.3 * ch.b_max, 0.7 * ch.b_max):
+                cscc, secc, ccc = _three_rates(ch, length, threshold)
+                for other in relabelled:
+                    o_cscc, o_secc, o_ccc = _three_rates(other, length, threshold)
+                    assert abs(o_cscc - cscc) <= 1e-12
+                    assert abs(o_secc - secc) <= 2e-9
+                    assert abs(o_ccc - ccc) <= 2e-9

@@ -24,6 +24,12 @@ def test_qinv_examples():
 def test_qinv_roundtrip_grid():
     for eps in (1e-6, 1e-4, 1e-2, 0.2, 0.5, 0.8, 0.99):
         assert abs(q_function(qinv(eps)) - eps) <= 1e-12
+    for eps in (1e-15, 1e-12, 1e-9):
+        assert abs(q_function(qinv(eps)) - eps) <= 1e-12 * eps
+    for eps in (1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 0.2, 0.5):
+        # 1 - eps rounds; its exact complement is the tail it really names
+        upper = 1.0 - eps
+        assert abs(qinv(upper) + qinv(1.0 - upper)) <= 1e-12
 
 
 def test_qinv_domain():

@@ -43,6 +43,15 @@ def test_log_type_class_size_matches_exact_integers():
         exact = math.log2(type_class_size(comp))
         approx = log_type_class_size(comp)
         assert abs(approx - exact) <= 1e-10 * max(1.0, abs(exact))
+    # binary and ternary compositions out to L = 2048
+    for L in (64, 256, 1024, 2048):
+        for counts in ((L // 2, L - L // 2), (1, L - 1), (L // 3, L - L // 3),
+                       (L // 3, L // 3, L - 2 * (L // 3)), (1, 2, L - 3),
+                       (L // 2, L // 4, L - L // 2 - L // 4)):
+            comp = Composition(counts)
+            exact = math.log2(type_class_size(comp))
+            approx = log_type_class_size(comp)
+            assert abs(approx - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
 def test_rate_loss_examples():
