@@ -5,9 +5,8 @@ memoryless channels."""
 from .bounds import (PenaltyBound, binary_convolution, binary_entropy,
                      binary_entropy_inverse, cscc_rate_lower_bound_bsc,
                      penalty_bound_bec, penalty_bound_bsc, penalty_bound_z)
-from .capacity import (CapacityResult, OutputType, capacity_power,
-                       ccc_composition_rate, cscc_capacity,
-                       cscc_composition_rate, output_types)
+from .capacity import (CapacityResult, capacity_power, ccc_composition_rate,
+                       class_laws, cscc_capacity, cscc_composition_rate)
 from .channel import (Channel, as_distribution, conditional_entropy,
                       divergence, divergence_conditional, entropy,
                       mutual_information, output_distribution)
@@ -27,10 +26,9 @@ from .oracle import (asymmetry_witness, cscc_composition_rate_bruteforce,
                      per_input_information, vector_channel)
 from .secc import (SuperAlphabet, secc_capacity, secc_uniform_rate,
                    super_alphabet)
-from .typeclass import (Composition, FeasibleSet, composition_count,
-                        enumerate_compositions, feasible_compositions,
-                        log_type_class_size, materialize_type_class, rate_loss,
-                        type_class_size)
+from .typeclass import (Composition, composition_count, enumerate_compositions,
+                        feasible_compositions, log_type_class_size,
+                        materialize_type_class, rate_loss, type_class_size)
 
 __version__ = "0.1.0"
 

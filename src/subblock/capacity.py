@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -48,38 +47,6 @@ class CapacityResult:
     residual: float = 0.0
 
 
-@dataclass(frozen=True)
-class OutputType:
-    """One output type class: its composition, canonical representative
-    (symbols sorted non-decreasing), and cardinality."""
-
-    composition: Composition
-    representative: np.ndarray
-    size: int
-
-
-def output_types(output_size: int, length: int) -> Iterator[OutputType]:
-    """Iterate over output type classes with canonical representatives;
-    :func:`check_class_caps` bounds their number."""
-    symbols = np.arange(output_size, dtype=np.int16)
-    for comp in enumerate_compositions(output_size, length):
-        rep = np.repeat(symbols, comp.counts)
-        rep.setflags(write=False)
-        yield OutputType(comp, rep, type_class_size(comp))
-
-
-def _class_output_probability(w: np.ndarray, sequences: np.ndarray,
-                              rep: np.ndarray) -> float:
-    """Uniform-input probability of the representative output vector:
-    mean over the type class of prod_i w(rep_i | x_i)."""
-    n = sequences.shape[0]
-    parts = []
-    for start in range(0, n, _CHUNK):
-        block = w[sequences[start:start + _CHUNK], rep]
-        parts.append(math.fsum(block.prod(axis=1)))
-    return math.fsum(parts) / n
-
-
 def check_class_caps(ch: Channel, compositions, length: int) -> None:
     """Raise :class:`SizeLimit` from closed-form counts, before anything is
     materialized, if an input type class exceeds ``CLASS_CAP`` or the output
@@ -95,40 +62,63 @@ def check_class_caps(ch: Channel, compositions, length: int) -> None:
                             f"above the cap of {CLASS_CAP}")
 
 
-def class_output_law(ch: Channel, composition: Composition,
-                     otypes: list[OutputType]) -> np.ndarray:
-    """P(y_Q) for every output type class Q in ``otypes`` (from
-    :func:`output_types` at the composition's length), with the input uniform
-    on the type class of ``composition``.  By symmetry every member of class
-    Q has this probability."""
-    if composition.alphabet_size != ch.input_size:
+def class_laws(ch: Channel, compositions, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The P(y_Q) kernel: ``(sizes, laws)`` where ``sizes[j]`` is |T_Q| of
+    the j-th output type class Q of length ``length`` (in
+    :func:`enumerate_compositions` order) and ``laws[i, j]`` is P(y_Q | P)
+    with the input uniform on the type class of ``compositions[i]``.  By
+    symmetry every member of Q has this probability, so y_Q is taken as the
+    canonical representative (symbols sorted non-decreasing), averaged over
+    the class in chunks of ``_CHUNK`` sequences.  Every cap is checked
+    before any class is materialized."""
+    check_class_caps(ch, compositions, length)
+    if any(comp.alphabet_size != ch.input_size for comp in compositions):
         raise DomainError("composition alphabet does not match the channel")
-    sequences = materialize_type_class(composition, cap=CLASS_CAP)
-    law = np.array([_class_output_probability(ch.w, sequences, otype.representative)
-                    for otype in otypes])
-    law.setflags(write=False)
-    return law
+    w, symbols = ch.w, np.arange(ch.output_size, dtype=np.int16)
+    otypes = enumerate_compositions(ch.output_size, length)
+    reps = [np.repeat(symbols, q.counts) for q in otypes]
+    sizes = np.array([float(type_class_size(q)) for q in otypes])
+    laws = np.empty((len(compositions), len(otypes)))
+    for i, comp in enumerate(compositions):
+        sequences = materialize_type_class(comp, cap=CLASS_CAP)
+        n = sequences.shape[0]
+        for j, rep in enumerate(reps):
+            # one (chunk, L) block is alive at a time
+            parts = [math.fsum(w[sequences[start:start + _CHUNK], rep].prod(axis=1))
+                     for start in range(0, n, _CHUNK)]
+            laws[i, j] = math.fsum(parts) / n
+        del sequences   # freed before the next class is materialized
+    sizes.setflags(write=False)
+    laws.setflags(write=False)
+    return sizes, laws
 
 
-def symmetric_rate(ch: Channel, otypes: list[OutputType], law: np.ndarray,
-                   marginal: np.ndarray) -> float:
+def symmetric_rate(ch: Channel, sizes: np.ndarray, law: np.ndarray,
+                   marginal: np.ndarray, length: int) -> float:
     """(1/L) I(X_1^L; Y_1^L) in bits for an input whose output law depends on
-    the output only through its type: ``law`` holds P(y_Q) for each class in
-    ``otypes`` and ``marginal`` is the input symbol law averaged over
-    positions.  Unclamped, so rounding may leave it a few ulps below zero."""
-    terms = [otype.size * p_y * (-math.log2(p_y))
-             for otype, p_y in zip(otypes, law.tolist()) if p_y > 0.0]
-    return math.fsum(terms) / otypes[0].composition.length \
-        - conditional_entropy(ch, marginal)
+    the output only through its type: ``law`` holds P(y_Q) for each output
+    type class, whose sizes |T_Q| are ``sizes`` (both as from
+    :func:`class_laws`), and ``marginal`` is the input symbol law averaged
+    over positions.  Unclamped, so rounding may leave it a few ulps below
+    zero."""
+    terms = [size * p_y * (-math.log2(p_y))
+             for size, p_y in zip(sizes.tolist(), law.tolist()) if p_y > 0.0]
+    return math.fsum(terms) / length - conditional_entropy(ch, marginal)
+
+
+def class_rates(ch: Channel, compositions, sizes: np.ndarray,
+                laws: np.ndarray) -> list[float]:
+    """Unclamped CSCC rate (bits/use) of each class in ``compositions``, from
+    the ``(sizes, laws)`` that :func:`class_laws` returns for them."""
+    return [symmetric_rate(ch, sizes, law, comp.probabilities(), comp.length)
+            for comp, law in zip(compositions, laws)]
 
 
 def cscc_composition_rate(ch: Channel, composition: Composition) -> CapacityResult:
     """CSCC rate (bits/use) for a fixed subblock composition, via the
     symmetry-reduced output-type sum."""
-    check_class_caps(ch, [composition], composition.length)
-    otypes = list(output_types(ch.output_size, composition.length))
-    law = class_output_law(ch, composition, otypes)
-    rate = symmetric_rate(ch, otypes, law, composition.probabilities())
+    rate, = class_rates(ch, [composition],
+                        *class_laws(ch, [composition], composition.length))
     return CapacityResult(rate=max(rate, 0.0), composition=composition)
 
 
@@ -139,11 +129,11 @@ def cscc_capacity(ch: Channel, length: int, threshold: float) -> CapacityResult:
     energy, then to the lexicographically smallest counts vector.
     """
     feasible = feasible_compositions(ch, length, threshold)
-    check_class_caps(ch, feasible, length)
+    rates = class_rates(ch, feasible, *class_laws(ch, feasible, length))
     best: CapacityResult | None = None
     best_energy = -1.0
-    for comp in feasible:
-        res = cscc_composition_rate(ch, comp)
+    for comp, rate in zip(feasible, rates):
+        res = CapacityResult(rate=max(rate, 0.0), composition=comp)
         if best is None or res.rate > best.rate + RATE_TIE_TOL:
             best, best_energy = res, comp.mean_energy(ch.energy)
             continue

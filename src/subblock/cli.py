@@ -28,7 +28,7 @@ from .energy import (BufferConfig, balanced_composition, cscc_sequence,
                      max_subblock_length, simulate, worst_case_drawdown)
 from .errors import DomainError, Infeasible, SizeLimit
 from .exponent import exponent_curve
-from .finiteblock import lsd_rate_bsc
+from .finiteblock import bsc_capacity, lsd_rate_bsc
 from .oracle import asymmetry_witness
 from .secc import secc_capacity, secc_uniform_rate
 from .typeclass import Composition, rate_loss
@@ -41,8 +41,21 @@ EXIT_SIZE_LIMIT = 3
 # -- argument parsing helpers --------------------------------------------------
 
 
+def parse_number(token: str, kind=float):
+    """``kind(token)``, with a token that is not a number an invalid input."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise DomainError(f"{token.strip()!r} is not a valid {kind.__name__}") from None
+
+
+def parse_list(spec: str, kind=float) -> list:
+    """A comma-separated list of numbers; empty tokens are skipped."""
+    return [parse_number(t, kind) for t in spec.split(",") if t.strip()]
+
+
 def _grid_value(token: str) -> float:
-    value = float(token)
+    value = parse_number(token)
     if not math.isfinite(value):
         raise DomainError(f"grid value {token!r} is not finite")
     return value
@@ -77,16 +90,12 @@ def parse_grid(spec: str) -> list[float]:
     return values
 
 
-def parse_int_list(spec: str) -> list[int]:
-    return [int(t) for t in spec.split(",") if t.strip()]
-
-
 def parse_channel(spec: str, energies: str | None) -> Channel:
     """Channel source: a file path or a builtin spec such as bsc:0.1,
     bec:0.25, z:0.3, noiseless:2, or builtin (noiseless sized by --b)."""
     b = None
     if energies is not None:
-        b = [float(t) for t in energies.split(",") if t.strip()]
+        b = parse_list(energies)
     if os.path.exists(spec):
         ch = Channel.load(spec)
         return Channel(ch.w, b) if b is not None else ch
@@ -97,11 +106,11 @@ def parse_channel(spec: str, energies: str | None) -> Channel:
             raise DomainError("--channel builtin needs --b to size the alphabet")
         return Channel.noiseless(len(b), b)
     if name == "noiseless":
-        k = int(arg) if arg else (len(b) if b else 2)
+        k = parse_number(arg, int) if arg else (len(b) if b else 2)
         return Channel.noiseless(k, b if b is not None else None)
     if not arg:
         raise DomainError(f"channel spec {spec!r} needs a parameter, e.g. {name}:0.1")
-    value = float(arg)
+    value = parse_number(arg)
     if name == "bsc":
         return Channel.bsc(value, b if b is not None else (0.0, 1.0))
     if name == "bec":
@@ -150,10 +159,16 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def _parse_composition(spec: str) -> Composition:
-    return Composition(tuple(int(t) for t in spec.split(",") if t.strip()))
+    return Composition(tuple(parse_list(spec, int)))
 
 
 # -- subcommands ---------------------------------------------------------------
+
+
+def _tolerance(tol: float) -> float:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"--tol {tol!r} must be finite and positive")
+    return tol
 
 
 def _require(value, flag: str):
@@ -165,7 +180,7 @@ def _require(value, flag: str):
 def cmd_cscc_capacity(args) -> int:
     ch = parse_channel(args.channel, args.b)
     if args.emax_values:
-        shape = np.array([float(t) for t in args.p_dist.split(",")]) \
+        shape = np.array(parse_list(args.p_dist)) \
             if args.p_dist else np.full(ch.input_size, 1.0 / ch.input_size)
         grid = parse_grid(args.emax_values)
 
@@ -182,7 +197,7 @@ def cmd_cscc_capacity(args) -> int:
         write_csv(args.output, ["e_max", "L", "cscc_capacity"], rows)
         return EXIT_OK
 
-    lengths = parse_int_list(args.L)
+    lengths = parse_list(args.L, int)
     grid = parse_grid(_require(args.b_values, "--b-values"))
     header = ["B"] + [f"cscc_L{length}" for length in lengths]
     if args.ccc:
@@ -200,9 +215,10 @@ def cmd_cscc_capacity(args) -> int:
 
 
 def cmd_capacity_power(args) -> int:
+    tol = _tolerance(args.tol)
     ch = parse_channel(args.channel, args.b)
     grid = parse_grid(args.b_values)
-    rows = map_ordered(lambda t: (t, capacity_power(ch, t, args.tol).rate), grid)
+    rows = map_ordered(lambda t: (t, capacity_power(ch, t, tol).rate), grid)
     write_csv(args.output, ["B", "capacity"], rows)
     return EXIT_OK
 
@@ -290,11 +306,11 @@ def cmd_penalty(args) -> int:
 def cmd_exponent(args) -> int:
     ch = parse_channel(args.channel, args.b)
     if args.P:
-        p = np.array([float(t) for t in args.P.split(",")])
+        p = np.array(parse_list(args.P))
     else:
         p = np.full(ch.input_size, 1.0 / ch.input_size)
     grid = parse_grid(args.r_values)
-    curve = exponent_curve(ch, p, grid, tol=args.tol)
+    curve = exponent_curve(ch, p, grid, tol=_tolerance(args.tol))
     print(f"critical_rate={curve.critical_rate:.12g}", file=sys.stderr)
     write_csv(args.output, ["R", "e_sp", "e_r"], curve.points)
     return EXIT_OK
@@ -328,8 +344,8 @@ def cmd_lsd(args) -> int:
     if not all(v.is_integer() for v in grid):
         raise DomainError("blocklengths --n-values must be integers")
     grid = [int(v) for v in grid]
-    epsilons = [float(t) for t in args.epsilon.split(",") if t.strip()]
-    capacity = 1.0 + args.p * math.log2(args.p) + (1 - args.p) * math.log2(1 - args.p)
+    epsilons = parse_list(args.epsilon)
+    capacity = bsc_capacity(args.p)
     header = ["n"] + [f"lsd_eps{eps:g}" for eps in epsilons] \
         + ["joint_lower_bound", "capacity"]
     rows = []
@@ -347,7 +363,7 @@ def cmd_lsd(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    numbers = set(parse_int_list(args.criteria)) if args.criteria else None
+    numbers = set(parse_list(args.criteria, int)) if args.criteria else None
     results = validation.run_all(seed=args.seed, numbers=numbers)
     for result in results:
         print(result.line())

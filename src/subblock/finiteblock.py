@@ -46,15 +46,21 @@ class LsdPoint:
     rate: float
 
 
-def lsd_rate_bsc(p: float, n: int, epsilon: float) -> float:
-    """Local-subblock-decoding achievable rate in bits per use."""
+def bsc_capacity(p: float) -> float:
+    """C = 1 + p log2 p + (1-p) log2 (1-p) in bits per use, for a crossover
+    ``p`` in (0, 0.5)."""
     if not 0.0 < p < 0.5:
         raise DomainError("crossover probability must lie in (0, 0.5)")
+    return 1.0 + p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p)
+
+
+def lsd_rate_bsc(p: float, n: int, epsilon: float) -> float:
+    """Local-subblock-decoding achievable rate in bits per use."""
+    capacity = bsc_capacity(p)
     if n < 1:
         raise DomainError("blocklength must be at least 1")
     if not 0.0 < epsilon < 1.0:
         raise DomainError("error probability must lie in (0, 1)")
-    capacity = 1.0 + p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p)
     penalty = math.sqrt(p * (1.0 - p) / n) * math.log2((1.0 - p) / p) * qinv(epsilon)
     return capacity - penalty + math.log2(n) / (2.0 * n)
 

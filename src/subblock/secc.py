@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (CapacityResult, OutputType, barrier_newton,
-                       blahut_arimoto, check_class_caps, class_output_law,
-                       output_types, symmetric_rate)
+from .capacity import (CapacityResult, barrier_newton, blahut_arimoto,
+                       class_laws, class_rates, symmetric_rate)
 from .channel import Channel
 from .typeclass import Composition, feasible_compositions, type_class_size
 
@@ -61,19 +60,9 @@ class SuperAlphabet:
         weights.setflags(write=False)
         return weights
 
-    def output_laws(self, ch: Channel) -> tuple[list[OutputType], np.ndarray]:
-        """The output type classes, in :func:`output_types` order, and
-        P(y_Q | P): one row per class, one column per output type class.
-        Every cap is checked before any class is materialized."""
-        check_class_caps(ch, self.compositions, self.length)
-        otypes = list(output_types(ch.output_size, self.length))
-        return otypes, np.array([class_output_law(ch, comp, otypes)
-                                 for comp in self.compositions])
-
 
 def super_alphabet(ch: Channel, length: int, threshold: float) -> SuperAlphabet:
-    feasible = feasible_compositions(ch, length, threshold)
-    comps = feasible.members
+    comps = feasible_compositions(ch, length, threshold)
     return SuperAlphabet(length=length, threshold=threshold, compositions=comps,
                          class_sizes=tuple(type_class_size(c) for c in comps))
 
@@ -87,9 +76,9 @@ def secc_uniform_rate(ch: Channel, length: int, threshold: float) -> float:
     mixture pairwise law sum_P (|T_P|/|A|) P(x) w(y|x).
     """
     alpha = super_alphabet(ch, length, threshold)
-    otypes, laws = alpha.output_laws(ch)
-    return symmetric_rate(ch, otypes, alpha.class_weights() @ laws,
-                          alpha.symbol_marginal())
+    sizes, laws = class_laws(ch, alpha.compositions, length)
+    return symmetric_rate(ch, sizes, alpha.class_weights() @ laws,
+                          alpha.symbol_marginal(), length)
 
 
 def secc_capacity(ch: Channel, length: int, threshold: float,
@@ -105,10 +94,9 @@ def secc_capacity(ch: Channel, length: int, threshold: float,
     super-letter of class P carries weight / |T_P|.
     """
     alpha = super_alphabet(ch, length, threshold)
-    otypes, laws = alpha.output_laws(ch)
-    bonus = np.array([LN2 * length * symmetric_rate(ch, otypes, law, comp.probabilities())
-                      for comp, law in zip(alpha.compositions, laws)])
-    lumped = laws * np.array([float(otype.size) for otype in otypes])
+    sizes, laws = class_laws(ch, alpha.compositions, length)
+    bonus = LN2 * length * np.array(class_rates(ch, alpha.compositions, sizes, laws))
+    lumped = laws * sizes
     tol_nats = max(tol * length * LN2, 1e-14)
     # Started from the uniform super-letter input, each iterate is the
     # vector-channel iterate summed over classes, with the same duality gap.

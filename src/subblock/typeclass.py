@@ -58,38 +58,23 @@ class Composition:
         return math.fsum(c * e for c, e in zip(self.counts, b)) / self.length
 
 
-@dataclass(frozen=True)
-class FeasibleSet:
-    """Compositions whose expected per-symbol energy meets a threshold."""
-
-    threshold: float
-    members: tuple[Composition, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
 def composition_count(alphabet_size: int, length: int) -> int:
     """Number of weak compositions of ``length`` into ``alphabet_size`` parts."""
     return math.comb(length + alphabet_size - 1, alphabet_size - 1)
 
 
-def enumerate_compositions(alphabet_size: int, length: int,
-                           cap: int = ENUMERATION_CAP) -> list[Composition]:
+def enumerate_compositions(alphabet_size: int, length: int) -> list[Composition]:
     """All compositions of ``length`` into ``alphabet_size`` parts, in
     lexicographic order of the counts vector.
 
-    Raises :class:`SizeLimit` when the count would exceed ``cap``.
+    Raises :class:`SizeLimit` when the count would exceed ``ENUMERATION_CAP``.
     """
     if alphabet_size < 1 or length < 1:
         raise DomainError("alphabet size and length must be positive")
     total = composition_count(alphabet_size, length)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise SizeLimit(
-            f"{total} compositions exceed the enumeration cap of {cap}"
+            f"{total} compositions exceed the enumeration cap of {ENUMERATION_CAP}"
         )
     out: list[Composition] = []
     counts = [0] * alphabet_size
@@ -130,20 +115,20 @@ def rate_loss(composition: Composition) -> float:
     return value if value > 0.0 else 0.0
 
 
-def feasible_compositions(ch: Channel, length: int, threshold: float,
-                          cap: int = ENUMERATION_CAP) -> FeasibleSet:
-    """Compositions of ``length`` whose mean energy is at least ``threshold``
-    (with absolute slack ``FEASIBILITY_TOL`` so boundary members survive
-    floating-point noise)."""
+def feasible_compositions(ch: Channel, length: int,
+                          threshold: float) -> tuple[Composition, ...]:
+    """Compositions of ``length``, in lexicographic order, whose mean energy
+    is at least ``threshold`` (with absolute slack ``FEASIBILITY_TOL`` so
+    boundary members survive floating-point noise)."""
     members = tuple(
-        comp for comp in enumerate_compositions(ch.input_size, length, cap=cap)
+        comp for comp in enumerate_compositions(ch.input_size, length)
         if comp.mean_energy(ch.energy) >= threshold - FEASIBILITY_TOL
     )
     if not members:
         raise EmptyFeasibleSet(
             f"no composition of length {length} reaches energy {threshold}"
         )
-    return FeasibleSet(threshold=threshold, members=members)
+    return members
 
 
 def _next_permutation(seq: list) -> bool:

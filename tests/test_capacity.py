@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -253,3 +254,37 @@ def test_fast_path_does_not_import_the_oracle():
             else:
                 continue
             assert not any(m.split(".")[-1] == "oracle" for m in modules), name
+
+
+def test_only_the_kernel_materializes_type_classes():
+    package = Path(__file__).parents[1] / "src" / "subblock"
+    callers = []
+    for name in ("capacity.py", "secc.py", "cli.py"):
+        tree = ast.parse((package / name).read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                callee = getattr(node, "func", None)
+                if getattr(callee, "id", getattr(callee, "attr", None)) == \
+                        "materialize_type_class":
+                    callers.append((name, func.name))
+    assert callers == [("capacity.py", "class_laws")]
+
+
+def test_kernel_holds_one_chunk_block_at_a_time(monkeypatch):
+    # 12,870 sequences span four chunks of 4,096
+    monkeypatch.setattr(subblock.capacity, "_CHUNK", 4096)
+    comp = Composition((8, 8))
+    cscc_composition_rate(bsc(0.1), comp)
+    tracemalloc.start()
+    try:
+        cscc_composition_rate(bsc(0.1), comp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sequences = type_class_size(comp) * comp.length      # int8
+    block = 4096 * comp.length * 8                         # float64
+    # the class and one block, with room for the per-chunk products and
+    # index buffers, but not for a second block
+    assert peak < sequences + 1.75 * block

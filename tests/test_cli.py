@@ -164,6 +164,39 @@ def test_exit_code_non_finite_grid():
     assert not result.stdout
 
 
+INVALID_COMMANDS = [
+    "capacity-power --channel bsc:0.1 --b-values abc",
+    "cscc-capacity --channel bsc:0.1 --b-values 0.5 --L 2,x",
+    "capacity-power --channel bsc:zz --b-values 0.5",
+    "capacity-power --channel noiseless:x --b-values 0.5",
+    "capacity-power --channel bsc:0.1 --b 0,q --b-values 0.5",
+    "lsd --p 0.11 --n-values 16 --epsilon e",
+    "penalty --channel bsc --p0 0.1 --L 4 --P 2,a",
+    "energy-sim --b 0,1 --B 0.5 --emax 4 --L 4 --P 2,x",
+    "exponent --channel bsc:0.1 --r-values 0.1 --P 0.5,x",
+    "cscc-capacity --channel bsc:0.01 --emax-values 1:2:1 --p-dist x,y",
+    "validate --criteria x",
+    # outside the (0, 0.5) the BSC formulas cover
+    "lsd --p 0 --n-values 16 --epsilon 1e-3",
+    "lsd --p 1 --n-values 16 --epsilon 1e-3",
+    "lsd --p=-0.1 --n-values 16 --epsilon 1e-3",
+    # solver tolerances must be finite and positive
+    "exponent --channel bsc:0.1 --r-values 0.1 --tol 0",
+    "exponent --channel bsc:0.1 --r-values 0.1 --tol nan",
+    "capacity-power --channel bsc:0.1 --b-values 0.5 --tol=-1",
+    "capacity-power --channel bsc:0.1 --b-values 0.5 --tol inf",
+]
+
+
+@pytest.mark.parametrize("command", INVALID_COMMANDS)
+def test_exit_code_invalid_input(command, capsys):
+    assert main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ")
+    assert captured.err.count("\n") == 1
+    assert not captured.out
+
+
 def test_exit_code_missing_sweep_argument():
     result = run_cli(["secc", "--channel", "bsc:0.1", "--L", "2"])
     assert result.returncode == 2

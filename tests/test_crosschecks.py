@@ -12,6 +12,7 @@ from subblock import (Channel, Composition, capacity_power, cscc_capacity,
                       feasible_compositions, mutual_information, secc_capacity,
                       secc_uniform_rate, sphere_packing_solution,
                       tilted_fixed_point)
+from subblock.capacity import RATE_TIE_TOL
 
 TERNARY = Channel([[0.8, 0.15, 0.05],
                    [0.1, 0.7, 0.2],
@@ -64,7 +65,30 @@ def test_ternary_cscc_capacity_matches_member_maximum():
                for comp in feasible)
     result = cscc_capacity(TERNARY, length, threshold)
     assert abs(result.rate - best) <= 1e-9
-    assert result.composition in feasible.members
+    assert result.composition in feasible
+
+
+def best_member(ch, length, threshold):
+    """The best :func:`cscc_composition_rate` over the feasible classes, one
+    call per class: among the rates within ``RATE_TIE_TOL`` of the top, the
+    largest mean energy, then the smallest counts vector."""
+    results = [cscc_composition_rate(ch, comp)
+               for comp in feasible_compositions(ch, length, threshold)]
+    top = max(r.rate for r in results)
+    near = [r for r in results if r.rate >= top - RATE_TIE_TOL]
+    energy = max(r.composition.mean_energy(ch.energy) for r in near)
+    return min((r for r in near
+                if r.composition.mean_energy(ch.energy) >= energy - RATE_TIE_TOL),
+               key=lambda r: r.composition.counts)
+
+
+def test_cscc_capacity_is_the_best_member_bit_for_bit():
+    for ch in (Channel.bsc(0.1), Channel.z(0.2), TERNARY):
+        for length in (1, 2, 5, 8):
+            for threshold in (0.0, 0.3, 0.5, 0.8):
+                result = cscc_capacity(ch, length, threshold)
+                assert result == best_member(ch, length, threshold), \
+                    (ch.w.tolist(), length, threshold)
 
 
 def test_ternary_sandwich():

@@ -24,7 +24,7 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
 
 def test_enumeration_size_limit():
     with pytest.raises(SizeLimit):
-        enumerate_compositions(30, 100, cap=10**4)
+        enumerate_compositions(30, 100)
 
 
 def test_log_type_class_size_examples():
