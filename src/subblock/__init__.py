@@ -24,8 +24,7 @@ from .exponent import (CsccErrorBound, ExponentCurve, TiltedSolution,
 from .finiteblock import LsdPoint, lsd_point, lsd_rate_bsc, q_function, qinv
 from .oracle import (asymmetry_witness, cscc_composition_rate_bruteforce,
                      per_input_information, vector_channel)
-from .secc import (SuperAlphabet, secc_capacity, secc_uniform_rate,
-                   super_alphabet)
+from .secc import secc_capacity, secc_uniform_rate
 from .typeclass import (Composition, composition_count, enumerate_compositions,
                         feasible_compositions, log_type_class_size,
                         materialize_type_class, rate_loss, type_class_size)

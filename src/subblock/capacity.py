@@ -93,25 +93,20 @@ def class_laws(ch: Channel, compositions, length: int) -> tuple[np.ndarray, np.n
     return sizes, laws
 
 
-def symmetric_rate(ch: Channel, sizes: np.ndarray, law: np.ndarray,
-                   marginal: np.ndarray, length: int) -> float:
-    """(1/L) I(X_1^L; Y_1^L) in bits for an input whose output law depends on
-    the output only through its type: ``law`` holds P(y_Q) for each output
-    type class, whose sizes |T_Q| are ``sizes`` (both as from
-    :func:`class_laws`), and ``marginal`` is the input symbol law averaged
-    over positions.  Unclamped, so rounding may leave it a few ulps below
-    zero."""
-    terms = [size * p_y * (-math.log2(p_y))
-             for size, p_y in zip(sizes.tolist(), law.tolist()) if p_y > 0.0]
-    return math.fsum(terms) / length - conditional_entropy(ch, marginal)
-
-
 def class_rates(ch: Channel, compositions, sizes: np.ndarray,
                 laws: np.ndarray) -> list[float]:
-    """Unclamped CSCC rate (bits/use) of each class in ``compositions``, from
-    the ``(sizes, laws)`` that :func:`class_laws` returns for them."""
-    return [symmetric_rate(ch, sizes, law, comp.probabilities(), comp.length)
-            for comp, law in zip(compositions, laws)]
+    """CSCC rate (bits/use) of each class in ``compositions``, from the
+    ``(sizes, laws)`` that :func:`class_laws` returns for them:
+    (1/L) sum_Q |T_Q| P(y_Q) log2(1 / P(y_Q)) - H(Y|X), with H(Y|X) from the
+    class's pairwise law.  Unclamped, so rounding may leave a rate a few ulps
+    below zero."""
+    counts, rates = sizes.tolist(), []
+    for comp, law in zip(compositions, laws):
+        terms = [size * p_y * (-math.log2(p_y))
+                 for size, p_y in zip(counts, law.tolist()) if p_y > 0.0]
+        rates.append(math.fsum(terms) / comp.length
+                     - conditional_entropy(ch, comp.probabilities()))
+    return rates
 
 
 def cscc_composition_rate(ch: Channel, composition: Composition) -> CapacityResult:

@@ -123,7 +123,10 @@ def parse_channel(spec: str, energies: str | None) -> Channel:
 def _thread_count() -> int:
     env = os.environ.get("SUBBLOCK_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, parse_number(env, int))
+        except DomainError as exc:
+            raise DomainError(f"SUBBLOCK_THREADS: {exc}") from None
     return os.cpu_count() or 1
 
 
@@ -225,6 +228,10 @@ def cmd_capacity_power(args) -> int:
 
 def cmd_secc(args) -> int:
     if args.asymmetry:
+        if args.L != 2 or args.B != 0.5 or args.b is not None or args.b_values \
+                or args.channel.lower() != "bsc":
+            raise DomainError("--asymmetry is fixed at --channel bsc, --L 2 and "
+                              "--B 0.5 with energies 0,1; sweep it with --p0-values")
         grid = parse_grid(_require(args.p0_values, "--p0-values"))
         rows = []
         for p0 in grid:

@@ -24,6 +24,7 @@ from .channel import Channel, mutual_information
 from .energy import (BufferConfig, adversarial_codeword, balanced_composition,
                      cscc_sequence, max_subblock_length, simulate,
                      worst_case_drawdown)
+from .errors import DomainError
 from .exponent import critical_rate, sphere_packing, sphere_packing_solution
 from .finiteblock import lsd_rate_bsc
 from .oracle import (asymmetry_witness, cscc_composition_rate_bruteforce,
@@ -349,6 +350,10 @@ ALL_CRITERIA = (
 
 
 def run_all(seed: int = DEFAULT_SEED, numbers=None) -> list[CriterionResult]:
+    """Run the criteria numbered in ``numbers`` (default: all), in order."""
+    known = range(1, len(ALL_CRITERIA) + 1)
+    if numbers is not None and (not numbers or any(n not in known for n in numbers)):
+        raise DomainError(f"criteria must be numbers 1..{len(ALL_CRITERIA)}")
     results = []
     for index, check in enumerate(ALL_CRITERIA, start=1):
         if numbers is not None and index not in numbers:

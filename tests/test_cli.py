@@ -10,6 +10,7 @@ from subblock import DomainError
 from subblock.cli import main, parse_channel, parse_grid
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the README's figure commands; their CSVs are pinned byte for byte
 README_COMMANDS = {
@@ -26,10 +27,9 @@ README_COMMANDS = {
 
 
 def run_python(args, env_extra=None, **kwargs):
-    env = None
-    if env_extra:
-        env = dict(os.environ)
-        env.update(env_extra)
+    """Run the interpreter with the checkout's ``src`` first on its path."""
+    env = dict(os.environ, **(env_extra or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, **kwargs)
 
@@ -176,6 +176,14 @@ INVALID_COMMANDS = [
     "exponent --channel bsc:0.1 --r-values 0.1 --P 0.5,x",
     "cscc-capacity --channel bsc:0.01 --emax-values 1:2:1 --p-dist x,y",
     "validate --criteria x",
+    # criterion numbers outside 1..9 would select nothing and read as a pass
+    "validate --criteria 10",
+    "validate --criteria 0,1",
+    "validate --criteria ,",
+    # the asymmetry witness is fixed at L = 2, B = 0.5 on a BSC with b = (0, 1)
+    "secc --asymmetry --L 4 --p0-values 0.1",
+    "secc --asymmetry --L 2 --B 0.6 --p0-values 0.1",
+    "secc --asymmetry --L 2 --b 0,2 --p0-values 0.1",
     # outside the (0, 0.5) the BSC formulas cover
     "lsd --p 0 --n-values 16 --epsilon 1e-3",
     "lsd --p 1 --n-values 16 --epsilon 1e-3",
@@ -195,6 +203,15 @@ def test_exit_code_invalid_input(command, capsys):
     assert captured.err.startswith("invalid input: ")
     assert captured.err.count("\n") == 1
     assert not captured.out
+
+
+def test_exit_code_invalid_thread_count():
+    result = run_cli(["capacity-power", "--channel", "bsc:0.1", "--b-values", "0.1,0.2"],
+                     env_extra={"SUBBLOCK_THREADS": "abc"})
+    assert result.returncode == 2
+    assert result.stderr.startswith("invalid input: SUBBLOCK_THREADS")
+    assert result.stderr.count("\n") == 1
+    assert not result.stdout
 
 
 def test_exit_code_missing_sweep_argument():

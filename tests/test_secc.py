@@ -9,8 +9,9 @@ import subblock.capacity
 from subblock import (Channel, Composition, DomainError, EmptyFeasibleSet,
                       SizeLimit, asymmetry_witness, capacity_power,
                       cscc_capacity, cscc_composition_rate,
-                      materialize_type_class, per_input_information,
-                      secc_capacity, secc_uniform_rate, super_alphabet)
+                      feasible_compositions, materialize_type_class,
+                      per_input_information, secc_capacity, secc_uniform_rate,
+                      type_class_size)
 from subblock.capacity import blahut_arimoto
 from subblock.oracle import sequence_channel, two_input_ccc, uniform_input_rate
 
@@ -20,10 +21,10 @@ TERNARY = Channel([[0.8, 0.15, 0.05],
 
 
 def super_letters(ch, length, threshold):
-    """Every super-letter, classes in the order of the super-alphabet's
-    compositions and rows lexicographic within each class."""
-    alpha = super_alphabet(ch, length, threshold)
-    return np.concatenate([materialize_type_class(c) for c in alpha.compositions])
+    """Every super-letter, classes in :func:`feasible_compositions` order and
+    rows lexicographic within each class."""
+    return np.concatenate([materialize_type_class(c)
+                           for c in feasible_compositions(ch, length, threshold)])
 
 
 def super_letter_channel(ch, length, threshold):
@@ -37,7 +38,7 @@ def vector_channel_certificate(ch, length, threshold, distribution):
     spread uniformly over each class.  Returns (rate, duality gap) in
     bits/use; the capacity of the vector channel lies in
     [rate, rate + gap]."""
-    sizes = super_alphabet(ch, length, threshold).class_sizes
+    sizes = [type_class_size(c) for c in feasible_compositions(ch, length, threshold)]
     spread = np.repeat(distribution / np.array(sizes), sizes)
     _, info, _, gap = blahut_arimoto(super_letter_channel(ch, length, threshold),
                                      p_init=spread, max_iter=1)
@@ -46,15 +47,15 @@ def vector_channel_certificate(ch, length, threshold, distribution):
 
 def test_super_alphabet_size():
     ch = Channel.noiseless(2, (0.0, 1.0))
-    alpha = super_alphabet(ch, 2, 0.5)
-    assert alpha.size == 3
+    classes = feasible_compositions(ch, 2, 0.5)
     # classes in lexicographic composition order: (0, 2) holds 11,
     # (1, 1) holds 01 and 10
-    assert [c.counts for c in alpha.compositions] == [(0, 2), (1, 1)]
-    assert alpha.class_sizes == (1, 2)
-    assert np.allclose(alpha.class_weights(), [1 / 3, 2 / 3], rtol=0, atol=1e-15)
-    with pytest.raises(EmptyFeasibleSet):
-        super_alphabet(ch, 2, 1.5)
+    assert [c.counts for c in classes] == [(0, 2), (1, 1)]
+    assert [type_class_size(c) for c in classes] == [1, 2]
+    assert super_letters(ch, 2, 0.5).tolist() == [[1, 1], [0, 1], [1, 0]]
+    for capacity in (secc_uniform_rate, secc_capacity):
+        with pytest.raises(EmptyFeasibleSet):
+            capacity(ch, 2, 1.5)
     # the balanced class of length 24 holds 2,704,156 sequences, above the
     # class cap; the closed-form count raises before any class is built
     with pytest.raises(SizeLimit, match="type class"):
@@ -98,13 +99,15 @@ def test_secc_uniform_rate_examples():
     assert abs(secc_uniform_rate(ch, 2, 0.5) - oracle) <= 1e-9
 
 
-def test_secc_uniform_rate_matches_bruteforce_binary():
-    for p0 in (0.05, 0.2, 0.35):
-        ch = Channel.bsc(p0)
-        for length, threshold in ((2, 0.5), (3, 0.4), (4, 0.5), (4, 0.7)):
-            seqs = super_letters(ch, length, threshold)
-            oracle = uniform_input_rate(ch, seqs)
-            assert abs(secc_uniform_rate(ch, length, threshold) - oracle) <= 1e-9
+def test_secc_uniform_rate_matches_bruteforce():
+    cases = [(Channel.bsc(p0), length, threshold) for p0 in (0.05, 0.2, 0.35)
+             for length, threshold in ((2, 0.5), (3, 0.4), (4, 0.5), (4, 0.7))]
+    cases += [(ch, length, threshold)
+              for ch in (Channel.z(0.2), Channel.bec(0.3), TERNARY)
+              for length in (2, 3, 4) for threshold in (0.3, 0.5, 0.7)]
+    for ch, length, threshold in cases:
+        oracle = uniform_input_rate(ch, super_letters(ch, length, threshold))
+        assert abs(secc_uniform_rate(ch, length, threshold) - oracle) <= 1e-9
 
 
 def test_secc_capacity_examples():
