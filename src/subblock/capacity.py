@@ -24,8 +24,8 @@ from .channel import (Channel, as_distribution, conditional_entropy,
                       mutual_information)
 from .errors import DomainError, Infeasible, SizeLimit
 from .typeclass import (Composition, composition_count, enumerate_compositions,
-                        feasible_compositions, materialize_type_class,
-                        type_class_size)
+                        feasible_compositions, feasible_rows,
+                        materialize_type_class, type_class_size)
 
 CLASS_CAP = 10**6          # sequences materialized per input type class
 OUTPUT_TYPE_CAP = 10**5    # number of output type classes
@@ -117,29 +117,79 @@ def cscc_composition_rate(ch: Channel, composition: Composition) -> CapacityResu
     return CapacityResult(rate=max(rate, 0.0), composition=composition)
 
 
-def cscc_capacity(ch: Channel, length: int, threshold: float) -> CapacityResult:
-    """CSCC capacity: the best fixed composition among the energy-feasible set.
+@dataclass(frozen=True)
+class LawTable:
+    """The kernel's output for one channel and subblock length, over the
+    classes feasible at ``threshold``, in :func:`feasible_compositions` order:
+    each class's mean energy, its output law P(y_Q | P) against the output
+    type sizes |T_Q| (as :func:`class_laws` returns them) and its unclamped
+    CSCC rate in bits/use.  Feasible sets shrink as the threshold rises, so
+    :meth:`at` serves any higher threshold from the same rows."""
 
-    Ties within ``RATE_TIE_TOL`` go to the composition with the larger mean
-    energy, then to the lexicographically smallest counts vector.
-    """
-    feasible = feasible_compositions(ch, length, threshold)
-    rates = class_rates(ch, feasible, *class_laws(ch, feasible, length))
+    length: int
+    threshold: float
+    compositions: tuple[Composition, ...]
+    energies: tuple[float, ...]
+    sizes: np.ndarray
+    laws: np.ndarray
+    rates: tuple[float, ...]
+
+    def at(self, threshold: float) -> LawTable:
+        """The rows feasible at ``threshold``, bit for bit what a table built
+        there would hold."""
+        if threshold < self.threshold:
+            raise ValueError(f"table built at {self.threshold} cannot serve {threshold}")
+        rows = feasible_rows(self.energies, self.length, threshold)
+        laws = self.laws[rows]
+        laws.setflags(write=False)
+        return LawTable(self.length, threshold,
+                        tuple(self.compositions[i] for i in rows),
+                        tuple(self.energies[i] for i in rows), self.sizes, laws,
+                        tuple(self.rates[i] for i in rows))
+
+
+def law_tables(ch: Channel, lengths, threshold: float) -> dict[int, LawTable]:
+    """One :class:`LawTable` per distinct length in ``lengths``, at
+    ``threshold``.  The caps of every length are checked before any class is
+    materialized, so a sweep fails before it does any work."""
+    feasible = {length: feasible_compositions(ch, length, threshold)
+                for length in lengths}
+    for length, compositions in feasible.items():
+        check_class_caps(ch, compositions, length)
+    tables = {}
+    for length, compositions in feasible.items():
+        sizes, laws = class_laws(ch, compositions, length)
+        tables[length] = LawTable(
+            length, threshold, compositions,
+            tuple(comp.mean_energy(ch.energy) for comp in compositions), sizes, laws,
+            tuple(class_rates(ch, compositions, sizes, laws)))
+    return tables
+
+
+def cscc_from_table(table: LawTable) -> CapacityResult:
+    """The best class of ``table``.  Ties within ``RATE_TIE_TOL`` go to the
+    composition with the larger mean energy, then to the lexicographically
+    smallest counts vector."""
     best: CapacityResult | None = None
     best_energy = -1.0
-    for comp, rate in zip(feasible, rates):
+    for comp, energy, rate in zip(table.compositions, table.energies, table.rates):
         res = CapacityResult(rate=max(rate, 0.0), composition=comp)
         if best is None or res.rate > best.rate + RATE_TIE_TOL:
-            best, best_energy = res, comp.mean_energy(ch.energy)
+            best, best_energy = res, energy
             continue
         if abs(res.rate - best.rate) <= RATE_TIE_TOL:
-            energy = comp.mean_energy(ch.energy)
             if energy > best_energy + RATE_TIE_TOL:
                 best, best_energy = res, energy
             elif abs(energy - best_energy) <= RATE_TIE_TOL and \
                     comp.counts < best.composition.counts:
                 best = res
     return best
+
+
+def cscc_capacity(ch: Channel, length: int, threshold: float) -> CapacityResult:
+    """CSCC capacity: the best fixed composition among the energy-feasible
+    set, with the tie rule of :func:`cscc_from_table`."""
+    return cscc_from_table(law_tables(ch, (length,), threshold)[length])
 
 
 def ccc_composition_rate(ch: Channel, composition) -> float:

@@ -22,7 +22,7 @@ from . import validation
 from .bounds import (cscc_rate_lower_bound_bsc, penalty_bound_bec,
                      penalty_bound_bsc, penalty_bound_z)
 from .capacity import (capacity_power, ccc_composition_rate, check_class_caps,
-                       cscc_capacity, cscc_composition_rate)
+                       cscc_composition_rate, cscc_from_table, law_tables)
 from .channel import Channel
 from .energy import (BufferConfig, balanced_composition, cscc_sequence,
                      max_subblock_length, simulate, worst_case_drawdown)
@@ -30,7 +30,7 @@ from .errors import DomainError, Infeasible, SizeLimit
 from .exponent import exponent_curve
 from .finiteblock import bsc_capacity, lsd_rate_bsc
 from .oracle import asymmetry_witness
-from .secc import secc_capacity, secc_uniform_rate
+from .secc import secc_from_table, secc_uniform_from_table
 from .typeclass import Composition, rate_loss
 
 EXIT_OK = 0
@@ -186,17 +186,16 @@ def cmd_cscc_capacity(args) -> int:
         shape = np.array(parse_list(args.p_dist)) \
             if args.p_dist else np.full(ch.input_size, 1.0 / ch.input_size)
         grid = parse_grid(args.emax_values)
-
-        def point(e_max):
+        lengths = []
+        for e_max in grid:
             length = max_subblock_length(ch, shape, args.B, e_max,
                                          require_integral=True)
             if length is math.inf:
                 raise Infeasible("no symbol draws the buffer down; pick a finite sweep")
-            if length < 1:
-                return (e_max, None, None)
-            return (e_max, length, cscc_capacity(ch, int(length), args.B).rate)
-
-        rows = map_ordered(point, grid)
+            lengths.append(int(length))
+        tables = law_tables(ch, [length for length in lengths if length >= 1], args.B)
+        rows = [(e_max, length, cscc_from_table(tables[length]).rate) if length >= 1
+                else (e_max, None, None) for e_max, length in zip(grid, lengths)]
         write_csv(args.output, ["e_max", "L", "cscc_capacity"], rows)
         return EXIT_OK
 
@@ -206,9 +205,14 @@ def cmd_cscc_capacity(args) -> int:
     if args.ccc:
         header.append("ccc")
 
+    # parse_grid lists thresholds in increasing order, so the tables built at
+    # the first one hold every row the others need
+    tables = law_tables(ch, lengths, grid[0])
+
     def point(threshold):
         row = [threshold]
-        row.extend(cscc_capacity(ch, length, threshold).rate for length in lengths)
+        row.extend(cscc_from_table(tables[length].at(threshold)).rate
+                   for length in lengths)
         if args.ccc:
             row.append(capacity_power(ch, threshold).rate)
         return row
@@ -247,25 +251,23 @@ def cmd_secc(args) -> int:
 
         def setting(p0):
             ch = Channel.bsc(p0) if args.b is None else parse_channel(f"bsc:{p0}", args.b)
-            return ch, args.B
+            return ch, args.B, law_tables(ch, (args.L,), args.B)[args.L]
     else:
         fixed = parse_channel(args.channel, args.b)
         grid, column = parse_grid(_require(args.b_values, "--b-values or --p0-values")), "B"
+        table = law_tables(fixed, (args.L,), grid[0])[args.L]
 
         def setting(threshold):
-            return fixed, threshold
+            return fixed, threshold, table.at(threshold)
 
-    # Exact SECC needs no cap gate of its own: its classes are the feasible
-    # classes of CSCC, which comes first in each row and raises on the same caps.
     exact = args.exact_secc
     header = [column, "cscc", "secc_uniform"] + (["secc"] if exact else []) + ["ccc"]
 
     def point(value):
-        ch, threshold = setting(value)
-        row = [value, cscc_capacity(ch, args.L, threshold).rate,
-               secc_uniform_rate(ch, args.L, threshold)]
+        ch, threshold, classes = setting(value)
+        row = [value, cscc_from_table(classes).rate, secc_uniform_from_table(classes)]
         if exact:
-            row.append(secc_capacity(ch, args.L, threshold).rate)
+            row.append(secc_from_table(classes).rate)
         row.append(capacity_power(ch, threshold).rate)
         return row
 

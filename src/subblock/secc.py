@@ -25,48 +25,44 @@ import math
 
 import numpy as np
 
-from .capacity import (CapacityResult, barrier_newton, blahut_arimoto,
-                       class_laws, class_rates)
+from .capacity import (CapacityResult, LawTable, barrier_newton, blahut_arimoto,
+                       law_tables)
 from .channel import Channel, mutual_information_matrix
-from .typeclass import feasible_compositions, type_class_size
+from .typeclass import type_class_size
 
 LN2 = math.log(2.0)
 
 
-def _lumped_classes(ch: Channel, length: int, threshold: float):
-    """``(weights, lumped, rates)`` over the feasible classes, in
-    :func:`feasible_compositions` order: the uniform super-letter weights
-    |T_P| / |A|, the class-to-output-type channel W[P, Q] = |T_Q| P(y_Q | P),
-    and each class's unclamped CSCC rate in bits/use."""
-    compositions = feasible_compositions(ch, length, threshold)
-    counts = [type_class_size(comp) for comp in compositions]
+def _lumped_classes(table: LawTable):
+    """``(weights, lumped, rates)`` over the classes of ``table``: the
+    uniform super-letter weights |T_P| / |A|, the class-to-output-type channel
+    W[P, Q] = |T_Q| P(y_Q | P), and each class's unclamped CSCC rate in
+    bits/use."""
+    counts = [type_class_size(comp) for comp in table.compositions]
     total = sum(counts)
-    sizes, laws = class_laws(ch, compositions, length)
-    return (np.array([n / total for n in counts]), laws * sizes,
-            np.array(class_rates(ch, compositions, sizes, laws)))
+    return (np.array([n / total for n in counts]), table.laws * table.sizes,
+            np.array(table.rates))
+
+
+def secc_uniform_from_table(table: LawTable) -> float:
+    """Rate (bits/use) achieved by the uniform distribution over the
+    super-alphabet of ``table``'s classes: J / L at the class weights."""
+    weights, lumped, rates = _lumped_classes(table)
+    return mutual_information_matrix(weights, lumped) / table.length + float(weights @ rates)
 
 
 def secc_uniform_rate(ch: Channel, length: int, threshold: float) -> float:
     """Rate (bits/use) achieved by the uniform distribution over the
     super-alphabet: J / L at the class weights |T_P| / |A|."""
-    weights, lumped, rates = _lumped_classes(ch, length, threshold)
-    return mutual_information_matrix(weights, lumped) / length + float(weights @ rates)
+    return secc_uniform_from_table(law_tables(ch, (length,), threshold)[length])
 
 
-def secc_capacity(ch: Channel, length: int, threshold: float,
-                  tol: float = 1e-9, *, max_iter: int = 100_000) -> CapacityResult:
-    """Exact SECC capacity (bits/use), max J / L: Blahut-Arimoto over the
-    class-lumped channel with the per-class CSCC information as a bonus,
-    started at the class weights |T_P| / |A| and duality-gap certified to
-    ``tol``.  If ``max_iter`` iterations leave the gap above ``tol``,
-    :func:`barrier_newton` finishes from the last iterate and its steps count
-    as iterations; ``residual`` is the gap reached.
-
-    The returned distribution holds one weight per feasible class, in the
-    order of ``feasible_compositions(ch, length, threshold)``; each
-    super-letter of class P carries weight / |T_P|.
-    """
-    weights, lumped, rates = _lumped_classes(ch, length, threshold)
+def secc_from_table(table: LawTable, tol: float = 1e-9, *,
+                    max_iter: int = 100_000) -> CapacityResult:
+    """Exact SECC capacity (bits/use) over ``table``'s classes, max J / L;
+    see :func:`secc_capacity`."""
+    weights, lumped, rates = _lumped_classes(table)
+    length = table.length
     bonus = LN2 * length * rates
     tol_nats = max(tol * length * LN2, 1e-14)
     # Started from the uniform super-letter input, each iterate is the
@@ -83,3 +79,19 @@ def secc_capacity(ch: Channel, length: int, threshold: float,
     return CapacityResult(rate=max(rate, 0.0), distribution=p, iterations=iterations,
                           residual=gap / LN2 / length)
 
+
+def secc_capacity(ch: Channel, length: int, threshold: float,
+                  tol: float = 1e-9, *, max_iter: int = 100_000) -> CapacityResult:
+    """Exact SECC capacity (bits/use), max J / L: Blahut-Arimoto over the
+    class-lumped channel with the per-class CSCC information as a bonus,
+    started at the class weights |T_P| / |A| and duality-gap certified to
+    ``tol``.  If ``max_iter`` iterations leave the gap above ``tol``,
+    :func:`barrier_newton` finishes from the last iterate and its steps count
+    as iterations; ``residual`` is the gap reached.
+
+    The returned distribution holds one weight per feasible class, in the
+    order of ``feasible_compositions(ch, length, threshold)``; each
+    super-letter of class P carries weight / |T_P|.
+    """
+    return secc_from_table(law_tables(ch, (length,), threshold)[length], tol,
+                           max_iter=max_iter)

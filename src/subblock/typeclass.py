@@ -13,6 +13,7 @@ from .errors import DomainError, EmptyFeasibleSet, SizeLimit
 
 ENUMERATION_CAP = 10**7
 FEASIBILITY_TOL = 1e-12
+_FILL_BLOCK = 1 << 15   # most rows whose prefix tree is grown in one piece
 LN2 = math.log(2.0)
 
 
@@ -120,30 +121,23 @@ def feasible_compositions(ch: Channel, length: int,
     """Compositions of ``length``, in lexicographic order, whose mean energy
     is at least ``threshold`` (with absolute slack ``FEASIBILITY_TOL`` so
     boundary members survive floating-point noise)."""
-    members = tuple(
-        comp for comp in enumerate_compositions(ch.input_size, length)
-        if comp.mean_energy(ch.energy) >= threshold - FEASIBILITY_TOL
-    )
-    if not members:
+    members = enumerate_compositions(ch.input_size, length)
+    energies = [comp.mean_energy(ch.energy) for comp in members]
+    return tuple(members[i] for i in feasible_rows(energies, length, threshold))
+
+
+def feasible_rows(energies, length: int, threshold: float) -> list[int]:
+    """Indices, in order, of the entries of ``energies`` (the mean energies
+    of compositions of ``length``) that are at least ``threshold`` less
+    ``FEASIBILITY_TOL``.  Raises :class:`EmptyFeasibleSet` if there are none.
+    The rows feasible at a threshold are among those feasible at any lower
+    one."""
+    rows = [i for i, energy in enumerate(energies) if energy >= threshold - FEASIBILITY_TOL]
+    if not rows:
         raise EmptyFeasibleSet(
             f"no composition of length {length} reaches energy {threshold}"
         )
-    return members
-
-
-def _next_permutation(seq: list) -> bool:
-    """Advance ``seq`` to its next lexicographic permutation in place."""
-    i = len(seq) - 2
-    while i >= 0 and seq[i] >= seq[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = len(seq) - 1
-    while seq[j] <= seq[i]:
-        j -= 1
-    seq[i], seq[j] = seq[j], seq[i]
-    seq[i + 1:] = seq[:i:-1]
-    return True
+    return rows
 
 
 def materialize_type_class(composition: Composition, cap: int = 10**6) -> np.ndarray:
@@ -152,16 +146,39 @@ def materialize_type_class(composition: Composition, cap: int = 10**6) -> np.nda
     n = type_class_size(composition)
     if n > cap:
         raise SizeLimit(f"type class has {n} sequences, above the cap of {cap}")
-    L = composition.length
     dtype = np.int16 if composition.alphabet_size > 127 else np.int8
-    out = np.empty((n, L), dtype=dtype)
-    seq = [x for x, c in enumerate(composition.counts) for _ in range(c)]
-    row = 0
-    while True:
-        out[row] = seq
-        row += 1
-        if not _next_permutation(seq):
-            break
-    assert row == n
+    out = np.empty((n, composition.length), dtype=dtype)
+    _fill_type_class(out, composition.counts)
     out.setflags(write=False)
     return out
+
+
+def _fill_type_class(out: np.ndarray, counts) -> None:
+    """Write the type class of ``counts`` into ``out`` in lexicographic order.
+
+    The rows are the leaves of the prefix tree, which is grown one column at
+    a time: ``np.nonzero`` over the (prefixes, symbols) table of remaining
+    counts lists each prefix's children in lexicographic order, and a child
+    that takes symbol s from a prefix with m symbols left heads
+    rows(prefix) * remaining[s] / m consecutive rows, so the column is its
+    symbols repeated that many times.  A class above ``_FILL_BLOCK`` rows is
+    split on its first symbol, which bounds the tree's working memory."""
+    n, length = out.shape
+    if n > _FILL_BLOCK:
+        start = 0
+        for symbol, count in enumerate(counts):
+            if count:
+                rest = counts[:symbol] + (count - 1,) + counts[symbol + 1:]
+                stop = start + n * count // length
+                out[start:stop, 0] = symbol
+                _fill_type_class(out[start:stop, 1:], rest)
+                start = stop
+        return
+    remaining = np.array([counts], dtype=np.min_scalar_type(length))
+    rows = np.array([n])
+    for column in range(length):
+        prefix, symbol = np.nonzero(remaining)
+        rows = rows[prefix] * remaining[prefix, symbol] // (length - column)
+        remaining = remaining[prefix]
+        remaining[np.arange(prefix.size), symbol] -= 1
+        out[:, column] = np.repeat(symbol.astype(out.dtype), rows)

@@ -14,6 +14,7 @@ from subblock import (Channel, Composition, EmptyFeasibleSet, Infeasible,
                       cscc_composition_rate_bruteforce, feasible_compositions,
                       mutual_information, type_class_size, vector_channel)
 import subblock.capacity
+from subblock.capacity import class_laws, class_rates, cscc_from_table, law_tables
 from subblock.oracle import two_input_ccc
 
 
@@ -225,6 +226,25 @@ def test_capacity_power_on_random_channels(ch, level):
         # threshold by that slack brackets the exact value
         assert result.rate <= two_input_ccc(ch, threshold) + 1e-9
         assert result.rate >= two_input_ccc(ch, threshold + 1e-12) - 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(ch=random_channels(), length=st.integers(1, 5),
+       levels=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_law_table_rows_match_a_fresh_kernel_call(ch, length, levels):
+    b = ch.energy
+    low, high = sorted(float(b.min() + t * (b.max() - b.min())) for t in levels)
+    table = law_tables(ch, (length,), low)[length]
+    rows = table.at(high)
+    feasible = feasible_compositions(ch, length, high)
+    sizes, laws = class_laws(ch, feasible, length)
+    assert rows.compositions == feasible
+    assert np.array_equal(rows.sizes, sizes) and np.array_equal(rows.laws, laws)
+    assert rows.rates == tuple(class_rates(ch, feasible, sizes, laws))
+    assert cscc_from_table(rows) == cscc_capacity(ch, length, high)
+    if high > low:
+        with pytest.raises(ValueError):
+            rows.at(low)
 
 
 def test_sandwich_against_feasible_members():

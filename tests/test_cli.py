@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import subblock.capacity
 from subblock import DomainError
 from subblock.cli import main, parse_channel, parse_grid
 
@@ -138,15 +139,19 @@ def test_energy_sim_deterministic(tmp_path):
 
 
 def test_thread_count_does_not_change_output(tmp_path):
-    args = ["penalty", "--channel", "bsc", "--p0", "0.05:0.45:0.05",
-            "--L", "8", "--P", "4,4"]
-    serial = run_cli([*args, "-o", str(tmp_path / "serial.csv")],
-                     env_extra={"SUBBLOCK_THREADS": "1"})
-    threaded = run_cli([*args, "-o", str(tmp_path / "threaded.csv")],
-                       env_extra={"SUBBLOCK_THREADS": "4"})
-    assert serial.returncode == threaded.returncode == 0
-    assert (tmp_path / "serial.csv").read_bytes() == \
-        (tmp_path / "threaded.csv").read_bytes()
+    # the last two share one law table across their grid points
+    commands = ["penalty --channel bsc --p0 0.05:0.45:0.05 --L 8 --P 4,4",
+                "secc --channel bsc:0.1 --L 8 --b-values 0.3:0.7:0.1",
+                "cscc-capacity --channel bsc:0.1 --b-values 0:1:0.1 --L 8,12"]
+    for index, command in enumerate(commands):
+        outputs = []
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"c{index}-t{threads}.csv"
+            result = run_cli([*command.split(), "-o", str(out)],
+                             env_extra={"SUBBLOCK_THREADS": threads})
+            assert result.returncode == 0, result.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0], command
 
 
 def test_exit_code_infeasible():
@@ -229,6 +234,39 @@ def test_exit_code_size_limit():
     assert "cap" in result.stderr
     assert main(["secc", "--channel", "bsc:0.1", "--L", "24",
                  "--b-values", "0.5"]) == 3
+
+
+def recorded_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record the first argument of each call."""
+    calls, original = [], getattr(module, name)
+
+    def recording(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_caps_of_every_length_are_checked_before_any_work(monkeypatch):
+    # L = 12 is within the caps and L = 64 is not; nothing of L = 12 is built
+    calls = recorded_calls(monkeypatch, subblock.capacity, "materialize_type_class")
+    assert main(["cscc-capacity", "--channel", "bsc:0.1", "--b-values", "0.5",
+                 "--L", "12,64", "-o", os.devnull]) == 3
+    assert calls == []
+
+
+def test_sweeps_compute_one_law_table_per_channel_and_length(monkeypatch):
+    calls = recorded_calls(monkeypatch, subblock.capacity, "class_laws")
+    fig4_lengths = {row[1] for row in read_csv(GOLDEN / "fig4.csv")[1:] if row[1]}
+    for command, expected in [
+            ("cscc-capacity --channel bsc:0.1 --b-values 0:1:0.1 --L 12,16", 2),
+            ("secc --channel bsc:0.1 --L 8 --b-values 0.3:0.7:0.1", 1),
+            ("secc --channel bsc --L 4 --B 0.6 --p0-values 0.1,0.2,0.3,0.4", 4),
+            (README_COMMANDS["fig4.csv"], len(fig4_lengths))]:
+        calls.clear()
+        assert main([*command.split(), "-o", os.devnull]) == 0
+        assert len(calls) == expected, command
 
 
 def test_secc_sweep(tmp_path):

@@ -1,8 +1,11 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import subblock.typeclass
 from subblock import (Channel, Composition, DomainError, EmptyFeasibleSet,
                       SizeLimit, composition_count, enumerate_compositions,
                       feasible_compositions, log_type_class_size,
@@ -105,17 +108,41 @@ def test_feasible_boundary_tolerance():
     assert (1, 1) in {c.counts for c in feasible_compositions(ch, 2, 0.5)}
 
 
-def test_materialize_type_class():
+def lexicographic_class(counts):
+    """The type class as sorted tuples, by brute force: the distinct
+    permutations of one member, or, where those are too many to list, the
+    members of the full product (which it yields in lexicographic order)."""
+    seq = [x for x, c in enumerate(counts) for _ in range(c)]
+    if len(seq) <= 8:
+        return sorted(set(itertools.permutations(seq)))
+    return [t for t in itertools.product(range(len(counts)), repeat=len(seq))
+            if all(t.count(x) == c for x, c in enumerate(counts))]
+
+
+def test_materialize_type_class(monkeypatch):
     rows = materialize_type_class(Composition((2, 1)))
     assert rows.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
-    comp = Composition((3, 2, 1))
-    rows = materialize_type_class(comp)
-    assert rows.shape == (type_class_size(comp), comp.length)
-    as_tuples = [tuple(r) for r in rows.tolist()]
-    assert as_tuples == sorted(as_tuples)
-    assert len(set(as_tuples)) == len(as_tuples)
-    with pytest.raises(SizeLimit):
-        materialize_type_class(Composition((10, 10)), cap=100)
+    # a block of 8 rows makes the classes of 10, 60 and 34,650 rows split on
+    # their leading symbols, as classes above the default block are
+    for counts in ((2, 1), (3, 0, 2), (5,), (0, 4), (3, 2, 1), (4, 4, 4)):
+        expected = lexicographic_class(counts)
+        for block in (10**6, 8):
+            monkeypatch.setattr(subblock.typeclass, "_FILL_BLOCK", block)
+            rows = materialize_type_class(Composition(counts))
+            assert [tuple(r) for r in rows.tolist()] == expected
+            assert rows.dtype == np.int8 and rows.shape[1] == sum(counts)
+            assert rows.flags.c_contiguous and not rows.flags.writeable
+    wide = materialize_type_class(Composition((0,) * 200 + (1, 1)))
+    assert wide.dtype == np.int16 and wide.tolist() == [[200, 201], [201, 200]]
+    # 184,756 rows of 20 symbols: the cap is checked before anything is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit):
+            materialize_type_class(Composition((10, 10)), cap=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_composition_validation():
