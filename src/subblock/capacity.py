@@ -10,7 +10,8 @@ output type class:
 where y_Q is a canonical representative (symbols sorted ascending) of output
 class Q, P(y_Q) is the uniform-input output probability, and H(Y|X) comes
 from the pairwise law p(x) w(y|x).  The brute-force vector channel that
-certifies this reduction lives in :mod:`subblock.oracle`.
+certifies this reduction, and the per-sequence route that certifies the
+P(y_Q) kernel bit for bit, live in :mod:`subblock.oracle`.
 """
 
 from __future__ import annotations
@@ -68,29 +69,67 @@ def class_laws(ch: Channel, compositions, length: int) -> tuple[np.ndarray, np.n
     :func:`enumerate_compositions` order) and ``laws[i, j]`` is P(y_Q | P)
     with the input uniform on the type class of ``compositions[i]``.  By
     symmetry every member of Q has this probability, so y_Q is taken as the
-    canonical representative (symbols sorted non-decreasing), averaged over
-    the class in chunks of ``_CHUNK`` sequences.  Every cap is checked
-    before any class is materialized."""
+    canonical representative (symbols sorted non-decreasing).
+
+    Each class is averaged in chunks of ``_CHUNK`` sequences: ``laws[i, j]``
+    is the ``math.fsum`` of the chunks' ``math.fsum`` of P(y_Q | x) over
+    their rows x, divided by |T_P|.  Within a chunk, :func:`_chunk_sums`
+    walks the representatives as a prefix tree, so the partial product of
+    a prefix shared by several y_Q is computed once; each P(y_Q | x) is still
+    w(y_0|x_0) * w(y_1|x_1) * ... multiplied left to right.  Every cap is
+    checked before any class is materialized."""
     check_class_caps(ch, compositions, length)
     if any(comp.alphabet_size != ch.input_size for comp in compositions):
         raise DomainError("composition alphabet does not match the channel")
-    w, symbols = ch.w, np.arange(ch.output_size, dtype=np.int16)
     otypes = enumerate_compositions(ch.output_size, length)
-    reps = [np.repeat(symbols, q.counts) for q in otypes]
     sizes = np.array([float(type_class_size(q)) for q in otypes])
     laws = np.empty((len(compositions), len(otypes)))
     for i, comp in enumerate(compositions):
         sequences = materialize_type_class(comp, cap=CLASS_CAP)
         n = sequences.shape[0]
-        for j, rep in enumerate(reps):
-            # one (chunk, L) block is alive at a time
-            parts = [math.fsum(w[sequences[start:start + _CHUNK], rep].prod(axis=1))
-                     for start in range(0, n, _CHUNK)]
-            laws[i, j] = math.fsum(parts) / n
-        del sequences   # freed before the next class is materialized
+        parts = [_chunk_sums(ch.w, sequences[start:start + _CHUNK], otypes)
+                 for start in range(0, n, _CHUNK)]
+        laws[i] = [math.fsum(column) / n for column in zip(*parts)]
+        del sequences, parts   # freed before the next class is materialized
     sizes.setflags(write=False)
     laws.setflags(write=False)
     return sizes, laws
+
+
+def _chunk_sums(w: np.ndarray, block: np.ndarray, otypes) -> np.ndarray:
+    """``math.fsum`` over the rows x of ``block`` of P(y_Q | x) for each
+    output type Q of ``otypes``, in that order.
+
+    The representatives are visited in lexicographic order, the reverse of
+    :func:`enumerate_compositions` order, so each shares the longest prefix
+    with the one before it.  Row d of one (L, rows) buffer holds the partial
+    products w(y_0|x_0) * ... * w(y_d|x_d), and only the rows past the shared
+    prefix are recomputed, each from one gather of w(y_d|.) and one multiply
+    in place.  The walk is a loop rather than a recursion, so a class of
+    length 1000 needs no deep stack, and the gather writes into the buffer,
+    so no level keeps a temporary of its own."""
+    rows, length = block.shape
+    columns = list(np.ascontiguousarray(w.T))   # columns[y][x] = w(y|x)
+    inputs = list(block.T)                      # inputs[d][r] = x_d of row r
+    partial = list(np.empty((length, rows)))
+    sums = np.empty(len(otypes))
+    take, multiply = np.take, np.multiply       # local names: the loop is hot
+    previous: list[int] = []
+    for j in range(len(otypes) - 1, -1, -1):
+        # ends[y] = q_0 + ... + q_y, where y_Q moves past symbol y; two
+        # representatives agree up to the first end at which they differ
+        ends = np.cumsum(otypes[j].counts).tolist()
+        start = min((min(a, b) for a, b in zip(previous, ends) if a != b), default=0)
+        for y, end in enumerate(ends):
+            column = columns[y]
+            for d in range(start, end):
+                take(column, inputs[d], out=partial[d], mode="clip")
+                if d:
+                    multiply(partial[d - 1], partial[d], out=partial[d])
+            start = max(start, end)
+        sums[j] = math.fsum(partial[length - 1])
+        previous = ends
+    return sums
 
 
 def class_rates(ch: Channel, compositions, sizes: np.ndarray,

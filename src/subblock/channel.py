@@ -57,6 +57,8 @@ class Channel:
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 2 or w.size == 0:
             raise DomainError("transition matrix must be 2-D and non-empty")
+        if not np.isfinite(w).all():
+            raise DomainError("transition probabilities must be finite")
         if w.min() < -PROB_TOL or w.max() > 1.0 + PROB_TOL:
             raise DomainError("transition probabilities must lie in [0, 1]")
         w = np.clip(w, 0.0, 1.0)
@@ -67,6 +69,8 @@ class Channel:
         b = np.asarray(self.energy, dtype=float).ravel()
         if b.size != w.shape[0]:
             raise DomainError("energy map length must equal the input alphabet size")
+        if not np.isfinite(b).all():
+            raise DomainError("energies must be finite")
         if b.min(initial=0.0) < 0.0:
             raise DomainError("energies must be non-negative")
         object.__setattr__(self, "w", _readonly(w))

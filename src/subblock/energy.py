@@ -32,6 +32,8 @@ class BufferConfig:
     e_init: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.e_max) and math.isfinite(self.demand)):
+            raise DomainError("buffer capacity and demand must be finite")
         if self.e_max <= 0.0:
             raise DomainError("buffer capacity must be positive")
         if not 0.0 <= self.e_init <= self.e_max:

@@ -1,8 +1,9 @@
 """Brute-force routes that certify the fast paths at desk scale: the fully
-materialized vector channel, grid and golden-section searches, and the
-per-sequence asymmetry witness at ``L = 2``.  :mod:`validation` and the tests
-use them as independent references; ``capacity``, ``secc`` and ``typeclass``
-never import this module."""
+materialized vector channel, the per-sequence P(y_Q) route, grid and
+golden-section searches, and the per-sequence asymmetry witness at
+``L = 2``.  :mod:`validation` and the tests use them as independent
+references; ``capacity``, ``secc`` and ``typeclass`` never import this
+module."""
 
 from __future__ import annotations
 
@@ -10,9 +11,11 @@ import math
 
 import numpy as np
 
+from . import capacity
 from .channel import Channel, mutual_information
 from .errors import DomainError, SizeLimit
-from .typeclass import Composition, materialize_type_class, type_class_size
+from .typeclass import (Composition, enumerate_compositions,
+                        materialize_type_class, type_class_size)
 
 ORACLE_CAP = 10**7         # entries of the fully materialized vector channel
 
@@ -74,6 +77,30 @@ def cscc_composition_rate_bruteforce(ch: Channel, composition: Composition) -> f
     uniform-input rate of the type class, from the fully materialized vector
     channel."""
     return _uniform_information(vector_channel(ch, composition)[2]) / composition.length
+
+
+def class_laws_by_sequence(ch: Channel, compositions, length: int
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for :func:`~subblock.capacity.class_laws`, equal to it bit for
+    bit: the same ``(sizes, laws)``, with each P(y_Q | x) taken as the
+    product of one gathered (chunk, L) block along its rows, one output type
+    at a time, and the same chunked ``math.fsum`` over ``capacity._CHUNK``
+    sequences."""
+    capacity.check_class_caps(ch, compositions, length)
+    w, symbols = ch.w, np.arange(ch.output_size, dtype=np.int16)
+    otypes = enumerate_compositions(ch.output_size, length)
+    reps = [np.repeat(symbols, q.counts) for q in otypes]
+    sizes = np.array([float(type_class_size(q)) for q in otypes])
+    laws = np.empty((len(compositions), len(otypes)))
+    chunk = capacity._CHUNK
+    for i, comp in enumerate(compositions):
+        sequences = materialize_type_class(comp, cap=capacity.CLASS_CAP)
+        n = sequences.shape[0]
+        for j, rep in enumerate(reps):
+            parts = [math.fsum(w[sequences[start:start + chunk], rep].prod(axis=1))
+                     for start in range(0, n, chunk)]
+            laws[i, j] = math.fsum(parts) / n
+    return sizes, laws
 
 
 def per_input_information(ch: Channel, sequences) -> np.ndarray:

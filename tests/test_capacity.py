@@ -1,4 +1,5 @@
 import ast
+import gc
 import math
 import tracemalloc
 from pathlib import Path
@@ -308,3 +309,23 @@ def test_kernel_holds_one_chunk_block_at_a_time(monkeypatch):
     # the class and one block, with room for the per-chunk products and
     # index buffers, but not for a second block
     assert peak < sequences + 1.75 * block
+
+
+def test_kernel_frees_each_class_and_buffer():
+    ch, classes = bsc(0.1), [Composition((8, 8)), Composition((7, 9))]
+    class_laws(ch, classes, 16)
+    gc.disable()    # a reference cycle would then keep what it holds
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        class_laws(ch, classes, 16)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    rows = max(type_class_size(comp) for comp in classes)
+    larger_class = rows * 16                              # int8
+    buffer = 16 * rows * 8                                # one (L, rows) float64 buffer
+    assert current - baseline < 64 * 1024
+    # a class or a buffer kept alive into the next class would exceed this
+    assert peak - baseline < larger_class + 1.5 * buffer

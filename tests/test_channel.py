@@ -83,6 +83,18 @@ def test_channel_validation():
     assert not Channel.bsc(0.1, energy=(1.0, 1.0)).energy_varies
 
 
+def test_channel_rejects_non_finite_entries(tmp_path):
+    with pytest.raises(DomainError, match="finite"):
+        Channel([[0.9, math.nan], [0.1, 0.9]], [0.0, 1.0])
+    path = tmp_path / "nan.txt"
+    path.write_text("2 2\n0.9 nan\n0.1 0.9\n0 1\n")
+    with pytest.raises(DomainError, match="finite"):
+        Channel.load(path)
+    for energy in ([math.nan, 1.0], [0.0, math.inf]):
+        with pytest.raises(DomainError, match="finite"):
+            Channel.bsc(0.1, energy)
+
+
 def test_channel_text_format():
     text = """
     # a binary symmetric channel

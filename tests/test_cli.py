@@ -198,6 +198,10 @@ INVALID_COMMANDS = [
     "exponent --channel bsc:0.1 --r-values 0.1 --tol nan",
     "capacity-power --channel bsc:0.1 --b-values 0.5 --tol=-1",
     "capacity-power --channel bsc:0.1 --b-values 0.5 --tol inf",
+    # energies and the buffer's demand must be finite
+    "capacity-power --channel bsc:0.1 --b nan,1 --b-values 0.5",
+    "cscc-capacity --channel bsc:0.1 --b 0,inf --b-values 0.5 --L 4",
+    "energy-sim --b 0,1 --B nan --emax 4 --L 9",
 ]
 
 

@@ -1,18 +1,25 @@
 """Cross-route checks on less common configurations: ternary alphabets,
 channels with structural zeros, independent grid oracles for the
-constrained capacity solver, and the monotonicity and relabelling
-invariance of the three capacities."""
+constrained capacity solver, the P(y_Q) kernel against the per-sequence
+route, and the monotonicity and relabelling invariance of the three
+capacities."""
 
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subblock import (Channel, Composition, capacity_power, cscc_capacity,
-                      cscc_composition_rate, cscc_composition_rate_bruteforce,
+import subblock.capacity
+from subblock import (Channel, Composition, capacity_power, class_laws,
+                      cscc_capacity, cscc_composition_rate,
+                      cscc_composition_rate_bruteforce, enumerate_compositions,
                       feasible_compositions, mutual_information, secc_capacity,
                       secc_uniform_rate, sphere_packing_solution,
                       tilted_fixed_point)
 from subblock.capacity import RATE_TIE_TOL
+from subblock.oracle import class_laws_by_sequence
 
 TERNARY = Channel([[0.8, 0.15, 0.05],
                    [0.1, 0.7, 0.2],
@@ -182,3 +189,65 @@ def test_rates_invariant_under_relabelling():
                     assert abs(o_cscc - cscc) <= 1e-12
                     assert abs(o_secc - secc) <= 2e-9
                     assert abs(o_ccc - ccc) <= 2e-9
+
+
+# (id, channel, L, class counts or None for every class of length L)
+KERNEL_CASES = [
+    ("bsc-6", Channel.bsc(0.1), 6, None),
+    ("bsc-16", Channel.bsc(0.1), 16, [(8, 8), (3, 13)]),
+    ("bec-5", Channel.bec(0.3), 5, None),
+    ("bec-16", Channel.bec(0.3), 16, [(8, 8)]),
+    ("z-6", Channel.z(0.3), 6, None),
+    ("z-16", Channel.z(0.3), 16, [(8, 8), (13, 3)]),
+    ("ternary-4", TERNARY, 4, None),
+    ("ternary-9", TERNARY, 9, [(3, 3, 3)]),
+    ("ternary-12", TERNARY, 12, [(5, 4, 3)]),
+    ("noiseless-6", Channel.noiseless(2), 6, None),
+    ("noiseless-16", Channel.noiseless(2), 16, [(8, 8)]),
+]
+
+
+def assert_kernel_matches_the_per_sequence_route(ch, classes, length):
+    sizes, laws = class_laws(ch, classes, length)
+    want_sizes, want_laws = class_laws_by_sequence(ch, classes, length)
+    assert np.array_equal(sizes, want_sizes)
+    assert np.array_equal(laws, want_laws)
+
+
+@pytest.mark.parametrize("chunk", [None, 4096], ids=["default-chunk", "chunk-4096"])
+@pytest.mark.parametrize("ch, length, counts", [case[1:] for case in KERNEL_CASES],
+                         ids=[case[0] for case in KERNEL_CASES])
+def test_kernel_matches_the_per_sequence_route(ch, length, counts, chunk, monkeypatch):
+    if chunk is not None:
+        # (8, 8)'s 12,870 sequences span four chunks, (5, 4, 3)'s 27,720 seven
+        monkeypatch.setattr(subblock.capacity, "_CHUNK", chunk)
+    classes = enumerate_compositions(ch.input_size, length) if counts is None \
+        else [Composition(c) for c in counts]
+    assert_kernel_matches_the_per_sequence_route(ch, classes, length)
+
+
+def test_kernel_matches_the_per_sequence_route_on_a_long_sparse_class():
+    # 200 sequences against 201 output types whose prefixes run 200 deep
+    assert_kernel_matches_the_per_sequence_route(Channel.bsc(0.2), [Composition((199, 1))], 200)
+
+
+@st.composite
+def kernel_instances(draw):
+    """A channel with zero entries, a length L <= 8 and up to three of its
+    classes."""
+    inputs, outputs = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    w = np.array([draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                                min_size=outputs, max_size=outputs))
+                  for _ in range(inputs)])
+    w[w.sum(axis=1) == 0.0, 0] = 1.0
+    ch = Channel(w / w.sum(axis=1, keepdims=True), [0.0] * inputs)
+    length = draw(st.integers(1, 8))
+    classes = draw(st.lists(st.sampled_from(enumerate_compositions(inputs, length)),
+                            min_size=1, max_size=3, unique=True))
+    return ch, classes, length
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance=kernel_instances())
+def test_kernel_matches_the_per_sequence_route_on_channels_with_zeros(instance):
+    assert_kernel_matches_the_per_sequence_route(*instance)

@@ -41,6 +41,12 @@ def test_simulate_overflow():
     assert trace.levels[-1] == 1.0
 
 
+def test_buffer_config_rejects_non_finite_settings():
+    for e_max, demand in ((float("nan"), 0.5), (float("inf"), 0.5), (4.0, float("nan"))):
+        with pytest.raises(DomainError, match="finite"):
+            BufferConfig(e_max=e_max, demand=demand, e_init=0.0)
+
+
 def test_trace_rows_export():
     cfg = BufferConfig(e_max=1.0, demand=0.5, e_init=0.0)
     rows = list(simulate(cfg, BINARY, [0, 1]).rows())
