@@ -17,6 +17,7 @@ P(y_Q) kernel bit for bit, live in :mod:`subblock.oracle`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,8 @@ from .channel import (Channel, as_distribution, conditional_entropy,
 from .errors import DomainError, Infeasible, SizeLimit
 from .typeclass import (Composition, composition_count, enumerate_compositions,
                         feasible_compositions, feasible_rows,
-                        materialize_type_class, type_class_size)
+                        log_type_class_size, materialize_type_class,
+                        type_class_size)
 
 CLASS_CAP = 10**6          # sequences materialized per input type class
 OUTPUT_TYPE_CAP = 10**5    # number of output type classes
@@ -50,12 +52,20 @@ class CapacityResult:
 
 def check_class_caps(ch: Channel, compositions, length: int) -> None:
     """Raise :class:`SizeLimit` from closed-form counts, before anything is
-    materialized, if an input type class exceeds ``CLASS_CAP`` or the output
-    type classes of length ``length`` exceed ``OUTPUT_TYPE_CAP``."""
+    materialized, if an input type class exceeds ``CLASS_CAP``, the output
+    type classes of length ``length`` exceed ``OUTPUT_TYPE_CAP``, or the
+    largest of them, the most balanced, has more sequences than a float
+    holds."""
     n_out = composition_count(ch.output_size, length)
     if n_out > OUTPUT_TYPE_CAP:
         raise SizeLimit(
             f"{n_out} output type classes exceed the cap of {OUTPUT_TYPE_CAP}")
+    k = ch.output_size
+    widest = Composition(tuple(length // k + (y < length % k) for y in range(k)))
+    bits = log_type_class_size(widest)      # the exact count only near 2**1024
+    if bits > 1025 or (bits > 1023 and type_class_size(widest) > sys.float_info.max):
+        raise SizeLimit(f"output type class {widest.counts} has more sequences "
+                        f"than a float holds")
     for comp in compositions:
         n = type_class_size(comp)
         if n > CLASS_CAP:
@@ -75,9 +85,13 @@ def class_laws(ch: Channel, compositions, length: int) -> tuple[np.ndarray, np.n
     is the ``math.fsum`` of the chunks' ``math.fsum`` of P(y_Q | x) over
     their rows x, divided by |T_P|.  Within a chunk, :func:`_chunk_sums`
     walks the representatives as a prefix tree, so the partial product of
-    a prefix shared by several y_Q is computed once; each P(y_Q | x) is still
-    w(y_0|x_0) * w(y_1|x_1) * ... multiplied left to right.  Every cap is
-    checked before any class is materialized."""
+    a prefix shared by several y_Q is computed once, and drops a row x once
+    its partial product is exactly zero, which a zero of w(y|x) makes it.
+    Both leave the values bit for bit as they were: each kept P(y_Q | x) is
+    still w(y_0|x_0) * w(y_1|x_1) * ... multiplied left to right, a dropped
+    one is an exact zero, and ``math.fsum`` is correctly rounded, so leaving
+    zeros out of it changes nothing.  Every cap is checked before any class
+    is materialized."""
     check_class_caps(ch, compositions, length)
     if any(comp.alphabet_size != ch.input_size for comp in compositions):
         raise DomainError("composition alphabet does not match the channel")
@@ -107,11 +121,24 @@ def _chunk_sums(w: np.ndarray, block: np.ndarray, otypes) -> np.ndarray:
     prefix are recomputed, each from one gather of w(y_d|.) and one multiply
     in place.  The walk is a loop rather than a recursion, so a class of
     length 1000 needs no deep stack, and the gather writes into the buffer,
-    so no level keeps a temporary of its own."""
+    so no level keeps a temporary of its own.
+
+    A row whose partial product is 0 stays 0, so after a depth whose column
+    w(y_d|.) has a zero, the rows still nonzero are moved to the front of
+    buffer row d and their indices kept (int32, as rows <= ``_CHUNK``).  The
+    depths below, and every representative that shares the prefix, gather
+    and multiply only those rows, and the sum runs over them alone.  Columns
+    without a zero are never checked, so a channel without zeros takes the
+    walk as it was."""
     rows, length = block.shape
     columns = list(np.ascontiguousarray(w.T))   # columns[y][x] = w(y|x)
+    has_zero = (w == 0.0).any(axis=0).tolist()  # has_zero[y]: w(y|.) has a zero
     inputs = list(block.T)                      # inputs[d][r] = x_d of row r
     partial = list(np.empty((length, rows)))
+    # kept[d]: int32 indices of the rows whose product through depth d is
+    # nonzero, those products being partial[d][:len(kept[d])]; None while no
+    # row is dropped
+    kept: list[np.ndarray | None] = [None] * length
     sums = np.empty(len(otypes))
     take, multiply = np.take, np.multiply       # local names: the loop is hot
     previous: list[int] = []
@@ -121,13 +148,28 @@ def _chunk_sums(w: np.ndarray, block: np.ndarray, otypes) -> np.ndarray:
         ends = np.cumsum(otypes[j].counts).tolist()
         start = min((min(a, b) for a, b in zip(previous, ends) if a != b), default=0)
         for y, end in enumerate(ends):
-            column = columns[y]
+            column, prune = columns[y], has_zero[y]
             for d in range(start, end):
-                take(column, inputs[d], out=partial[d], mode="clip")
+                alive = kept[d - 1] if d else None
+                if alive is None:
+                    row, symbols = partial[d], inputs[d]
+                elif alive.size:
+                    row, symbols = partial[d][:alive.size], inputs[d][alive]
+                else:               # every row dropped: the rest stay empty
+                    kept[d] = alive
+                    continue
+                take(column, symbols, out=row, mode="clip")
                 if d:
-                    multiply(partial[d - 1], partial[d], out=partial[d])
+                    multiply(partial[d - 1][:row.size], row, out=row)
+                if prune:
+                    nonzero = row.nonzero()[0]
+                    if nonzero.size < row.size:
+                        row[:nonzero.size] = row[nonzero]
+                        alive = nonzero.astype(np.int32) if alive is None else alive[nonzero]
+                kept[d] = alive
             start = max(start, end)
-        sums[j] = math.fsum(partial[length - 1])
+        last = kept[length - 1]
+        sums[j] = math.fsum(partial[length - 1][:rows if last is None else last.size])
         previous = ends
     return sums
 

@@ -36,6 +36,8 @@ class BufferConfig:
             raise DomainError("buffer capacity and demand must be finite")
         if self.e_max <= 0.0:
             raise DomainError("buffer capacity must be positive")
+        if self.demand < 0.0:
+            raise DomainError("demand must be non-negative")
         if not 0.0 <= self.e_init <= self.e_max:
             raise DomainError("initial level must lie in [0, e_max]")
 

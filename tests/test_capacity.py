@@ -15,7 +15,8 @@ from subblock import (Channel, Composition, EmptyFeasibleSet, Infeasible,
                       cscc_composition_rate_bruteforce, feasible_compositions,
                       mutual_information, type_class_size, vector_channel)
 import subblock.capacity
-from subblock.capacity import class_laws, class_rates, cscc_from_table, law_tables
+from subblock.capacity import (check_class_caps, class_laws, class_rates, cscc_from_table,
+                               law_tables)
 from subblock.oracle import two_input_ccc
 
 
@@ -125,6 +126,15 @@ def test_size_limits():
     # 184,756 sequences x 2**20 outputs, above the oracle's entry cap
     with pytest.raises(SizeLimit, match="vector channel"):
         cscc_composition_rate_bruteforce(bsc(0.1), Composition((10, 10)))
+
+
+def test_output_type_class_beyond_the_float_range_is_a_size_limit():
+    # |T_(515, 515)| = C(1030, 515) > 2**1024 > C(1029, 514); the class
+    # (L - 1, 1) has only L sequences, so only the output side is too large
+    check_class_caps(bsc(0.1), [Composition((1028, 1))], 1029)
+    for length in (1030, 2000):
+        with pytest.raises(SizeLimit, match="float"):
+            check_class_caps(bsc(0.1), [Composition((length - 1, 1))], length)
 
 
 def test_ccc_composition_rate():
@@ -311,8 +321,8 @@ def test_kernel_holds_one_chunk_block_at_a_time(monkeypatch):
     assert peak < sequences + 1.75 * block
 
 
-def test_kernel_frees_each_class_and_buffer():
-    ch, classes = bsc(0.1), [Composition((8, 8)), Composition((7, 9))]
+def assert_kernel_frees_each_class_and_buffer(ch):
+    classes = [Composition((8, 8)), Composition((7, 9))]
     class_laws(ch, classes, 16)
     gc.disable()    # a reference cycle would then keep what it holds
     tracemalloc.start()
@@ -329,3 +339,15 @@ def test_kernel_frees_each_class_and_buffer():
     assert current - baseline < 64 * 1024
     # a class or a buffer kept alive into the next class would exceed this
     assert peak - baseline < larger_class + 1.5 * buffer
+
+
+def test_kernel_frees_each_class_and_buffer():
+    assert_kernel_frees_each_class_and_buffer(bsc(0.1))
+
+
+@pytest.mark.parametrize("ch", [Channel.bec(0.3), Channel.z(0.3), Channel.noiseless(2)],
+                         ids=["bec", "z", "noiseless"])
+def test_kernel_frees_each_class_and_buffer_on_channels_with_zeros(ch):
+    # the rows a zero drops are compacted into the buffer itself, and only
+    # int32 indices of the survivors are kept
+    assert_kernel_frees_each_class_and_buffer(ch)

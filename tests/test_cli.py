@@ -105,6 +105,17 @@ def test_penalty_omits_exact_column_beyond_caps(tmp_path):
     assert len(rows) == 3
 
 
+def test_penalty_omits_exact_column_beyond_the_float_range(tmp_path):
+    # (1999, 1) has 2,000 sequences, but |T_Q| of the balanced output type
+    # (1000, 1000) is above 2**1024, so |T_Q| cannot be a float
+    out = tmp_path / "penalty.csv"
+    assert main(["penalty", "--channel", "bsc", "--p0", "0.1",
+                 "--L", "2000", "--P", "1999,1", "-o", str(out)]) == 0
+    rows = read_csv(out)
+    assert rows[0] == ["p0", "bound", "rate_loss"]
+    assert len(rows) == 2
+
+
 def test_energy_sim_adversarial_reports_outage(tmp_path):
     out = tmp_path / "trace.csv"
     result = run_cli(["energy-sim", "--channel", "builtin", "--b", "0,1",
@@ -202,6 +213,8 @@ INVALID_COMMANDS = [
     "capacity-power --channel bsc:0.1 --b nan,1 --b-values 0.5",
     "cscc-capacity --channel bsc:0.1 --b 0,inf --b-values 0.5 --L 4",
     "energy-sim --b 0,1 --B nan --emax 4 --L 9",
+    # a negative demand would charge the buffer
+    "energy-sim --channel builtin --b 0,1 --B -1 --emax 4 --L 9",
 ]
 
 

@@ -17,7 +17,7 @@ from subblock import (Channel, Composition, capacity_power, class_laws,
                       cscc_composition_rate_bruteforce, enumerate_compositions,
                       feasible_compositions, mutual_information, secc_capacity,
                       secc_uniform_rate, sphere_packing_solution,
-                      tilted_fixed_point)
+                      tilted_fixed_point, type_class_size)
 from subblock.capacity import RATE_TIE_TOL
 from subblock.oracle import class_laws_by_sequence
 
@@ -229,6 +229,47 @@ def test_kernel_matches_the_per_sequence_route(ch, length, counts, chunk, monkey
 def test_kernel_matches_the_per_sequence_route_on_a_long_sparse_class():
     # 200 sequences against 201 output types whose prefixes run 200 deep
     assert_kernel_matches_the_per_sequence_route(Channel.bsc(0.2), [Composition((199, 1))], 200)
+
+
+def test_kernel_matches_the_per_sequence_route_on_a_long_class_of_the_bec():
+    # 20,301 output types; a row goes at the first depth whose symbol it
+    # cannot reach, so representatives differ in how many rows they keep
+    assert_kernel_matches_the_per_sequence_route(Channel.bec(0.3), [Composition((199, 1))], 200)
+
+
+# channels on which the kernel drops rows whose partial product is zero
+ZERO_CASES = [
+    # no input reaches the last output symbol, visited last
+    ("unreachable-last", Channel([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]], [0.0, 1.0]), 8),
+    # no input reaches the first output symbol, so every row of a
+    # representative that starts with it goes at the first depth
+    ("unreachable-first", Channel([[0.0, 0.5, 0.5], [0.0, 0.2, 0.8]], [0.0, 1.0]), 8),
+    # the only zero is in the last column the walk visits
+    ("zero-in-last-column", Channel([[0.6, 0.3, 0.1], [0.5, 0.5, 0.0]], [0.0, 1.0]), 10),
+]
+
+
+@pytest.mark.parametrize("ch, length", [case[1:] for case in ZERO_CASES],
+                         ids=[case[0] for case in ZERO_CASES])
+def test_kernel_matches_the_per_sequence_route_where_rows_drop(ch, length):
+    classes = enumerate_compositions(ch.input_size, length)
+    assert_kernel_matches_the_per_sequence_route(ch, classes, length)
+    laws = class_laws(ch, classes, length)[1]
+    unreachable = np.flatnonzero(ch.w.sum(axis=0) == 0.0)
+    has_unreachable = [any(q.counts[y] for y in unreachable)
+                       for q in enumerate_compositions(ch.output_size, length)]
+    assert np.all(laws[:, has_unreachable] == 0.0)
+
+
+def test_kernel_gives_exact_zeros_on_a_noiseless_channel():
+    # y_Q is reached only from x = y_Q itself, so P(y_Q | P) is 1 / |T_P|
+    # when Q = P and exactly 0 otherwise
+    ch, length = Channel.noiseless(2), 12
+    classes = enumerate_compositions(2, length)
+    assert_kernel_matches_the_per_sequence_route(ch, classes, length)
+    laws = class_laws(ch, classes, length)[1]
+    expected = np.diag([1.0 / type_class_size(comp) for comp in classes])
+    assert np.array_equal(laws, expected)
 
 
 @st.composite

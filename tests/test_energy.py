@@ -47,6 +47,12 @@ def test_buffer_config_rejects_non_finite_settings():
             BufferConfig(e_max=e_max, demand=demand, e_init=0.0)
 
 
+def test_buffer_config_rejects_negative_demand():
+    with pytest.raises(DomainError, match="demand"):
+        BufferConfig(e_max=4.0, demand=-1.0, e_init=0.0)
+    assert BufferConfig(e_max=4.0, demand=0.0, e_init=0.0).demand == 0.0
+
+
 def test_trace_rows_export():
     cfg = BufferConfig(e_max=1.0, demand=0.5, e_init=0.0)
     rows = list(simulate(cfg, BINARY, [0, 1]).rows())
