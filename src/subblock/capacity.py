@@ -16,6 +16,7 @@ P(y_Q) kernel bit for bit, live in :mod:`subblock.oracle`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -35,7 +36,8 @@ OUTPUT_TYPE_CAP = 10**5    # number of output type classes
 RATE_TIE_TOL = 1e-12
 NEWTON_MAX_STEPS = 500     # steps of one barrier Newton solve
 LN2 = math.log(2.0)
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16          # sequences summed per chunk
+_SLICE = 1 << 14          # (matrix, row) pairs a walk holds per depth
 
 
 @dataclass(frozen=True)
@@ -50,17 +52,17 @@ class CapacityResult:
     residual: float = 0.0
 
 
-def check_class_caps(ch: Channel, compositions, length: int) -> None:
+def check_class_caps(output_size: int, compositions, length: int) -> None:
     """Raise :class:`SizeLimit` from closed-form counts, before anything is
     materialized, if an input type class exceeds ``CLASS_CAP``, the output
-    type classes of length ``length`` exceed ``OUTPUT_TYPE_CAP``, or the
-    largest of them, the most balanced, has more sequences than a float
-    holds."""
-    n_out = composition_count(ch.output_size, length)
+    type classes of length ``length`` over ``output_size`` symbols exceed
+    ``OUTPUT_TYPE_CAP``, or the largest of them, the most balanced, has more
+    sequences than a float holds."""
+    n_out = composition_count(output_size, length)
     if n_out > OUTPUT_TYPE_CAP:
         raise SizeLimit(
             f"{n_out} output type classes exceed the cap of {OUTPUT_TYPE_CAP}")
-    k = ch.output_size
+    k = output_size
     widest = Composition(tuple(length // k + (y < length % k) for y in range(k)))
     bits = log_type_class_size(widest)      # the exact count only near 2**1024
     if bits > 1025 or (bits > 1023 and type_class_size(widest) > sys.float_info.max):
@@ -73,104 +75,137 @@ def check_class_caps(ch: Channel, compositions, length: int) -> None:
                             f"above the cap of {CLASS_CAP}")
 
 
-def class_laws(ch: Channel, compositions, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The P(y_Q) kernel: ``(sizes, laws)`` where ``sizes[j]`` is |T_Q| of
-    the j-th output type class Q of length ``length`` (in
-    :func:`enumerate_compositions` order) and ``laws[i, j]`` is P(y_Q | P)
-    with the input uniform on the type class of ``compositions[i]``.  By
-    symmetry every member of Q has this probability, so y_Q is taken as the
-    canonical representative (symbols sorted non-decreasing).
+def class_laws(a, compositions, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The P(y_Q) kernel over a nonnegative letter matrix ``a`` of shape
+    ``(..., |X|, |Y|)``, a channel's ``w`` or a stack of them: ``(sizes,
+    laws)`` where ``sizes[j]`` is |T_Q| of the j-th output type class Q of
+    length ``length`` (in :func:`enumerate_compositions` order) and
+    ``laws[..., i, j]`` is the mean over the sequences x of the type class of
+    ``compositions[i]`` of a(x_0, y_0) * ... * a(x_{L-1}, y_{L-1}), for each
+    matrix of the stack.  For a channel this is P(y_Q | P) with the input
+    uniform on the type class; by symmetry every member of Q has this
+    probability, so y_Q is taken as the canonical representative (symbols
+    sorted non-decreasing).
 
-    Each class is averaged in chunks of ``_CHUNK`` sequences: ``laws[i, j]``
-    is the ``math.fsum`` of the chunks' ``math.fsum`` of P(y_Q | x) over
-    their rows x, divided by |T_P|.  Within a chunk, :func:`_chunk_sums`
-    walks the representatives as a prefix tree, so the partial product of
-    a prefix shared by several y_Q is computed once, and drops a row x once
-    its partial product is exactly zero, which a zero of w(y|x) makes it.
-    Both leave the values bit for bit as they were: each kept P(y_Q | x) is
-    still w(y_0|x_0) * w(y_1|x_1) * ... multiplied left to right, a dropped
-    one is an exact zero, and ``math.fsum`` is correctly rounded, so leaving
+    Each class is materialized once per call and averaged in chunks of
+    ``_CHUNK`` sequences: ``laws[..., i, j]`` is the ``math.fsum`` of the
+    chunks' ``math.fsum`` of the products over their rows x, divided by
+    |T_P|.  The matrices of the stack are walked in slices of at most
+    ``max(1, _SLICE // rows)`` matrices, ``rows`` being a chunk's row count,
+    so a slice's buffer holds at most ``L * _SLICE`` floats unless one chunk
+    alone has more rows.  Within a chunk and slice, :func:`_chunk_sums` walks
+    the representatives as a prefix tree, so the partial product of a prefix
+    shared by several y_Q is computed once, and drops a row x once its
+    partial product is exactly zero in every matrix of the slice, which
+    zeros of ``a`` make it.  Both leave the values bit for bit what a
+    single-matrix call gives: each kept product is still
+    a(x_0, y_0) * a(x_1, y_1) * ... multiplied left to right, a dropped one
+    is an exact zero, and ``math.fsum`` is correctly rounded, so leaving
     zeros out of it changes nothing.  Every cap is checked before any class
     is materialized."""
-    check_class_caps(ch, compositions, length)
-    if any(comp.alphabet_size != ch.input_size for comp in compositions):
-        raise DomainError("composition alphabet does not match the channel")
-    otypes = enumerate_compositions(ch.output_size, length)
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or not np.isfinite(a).all() or (a < 0.0).any():
+        raise DomainError("the letter matrix must be finite and nonnegative, "
+                          "of shape (..., |X|, |Y|)")
+    inputs, outputs = a.shape[-2:]
+    check_class_caps(outputs, compositions, length)
+    if any(comp.alphabet_size != inputs for comp in compositions):
+        raise DomainError("composition alphabet does not match the letter matrix")
+    stack = a.reshape(-1, inputs, outputs)
+    otypes = enumerate_compositions(outputs, length)
+    plan = _prefix_plan(otypes)
     sizes = np.array([float(type_class_size(q)) for q in otypes])
-    laws = np.empty((len(compositions), len(otypes)))
+    laws = np.empty((len(stack), len(compositions), len(otypes)))
     for i, comp in enumerate(compositions):
         sequences = materialize_type_class(comp, cap=CLASS_CAP)
         n = sequences.shape[0]
-        parts = [_chunk_sums(ch.w, sequences[start:start + _CHUNK], otypes)
-                 for start in range(0, n, _CHUNK)]
-        laws[i] = [math.fsum(column) / n for column in zip(*parts)]
-        del sequences, parts   # freed before the next class is materialized
+        width = max(1, _SLICE // min(n, _CHUNK))
+        for first in range(0, len(stack), width):
+            parts = [_chunk_sums(stack[first:first + width],
+                                 sequences[start:start + _CHUNK], plan)
+                     for start in range(0, n, _CHUNK)]
+            for g, chunks in enumerate(zip(*parts)):
+                laws[first + g, i] = [math.fsum(column) / n for column in zip(*chunks)]
+        del sequences   # freed before the next class is materialized
+    laws = laws.reshape(a.shape[:-2] + laws.shape[1:])
     sizes.setflags(write=False)
     laws.setflags(write=False)
     return sizes, laws
 
 
-def _chunk_sums(w: np.ndarray, block: np.ndarray, otypes) -> np.ndarray:
-    """``math.fsum`` over the rows x of ``block`` of P(y_Q | x) for each
-    output type Q of ``otypes``, in that order.
+def _prefix_plan(otypes) -> list[tuple[int, int, list[int]]]:
+    """The walk of :func:`_chunk_sums`: one ``(j, start, ends)`` per output
+    type, in lexicographic order of the representatives (the reverse of
+    :func:`enumerate_compositions` order), where ``ends[y] = q_0 + ... + q_y``
+    is the depth at which y_Q moves past symbol y and ``start`` the length of
+    the prefix y_Q shares with the representative before it; two
+    representatives agree up to the first end at which they differ."""
+    plan, previous = [], []
+    for j in range(len(otypes) - 1, -1, -1):
+        ends = list(itertools.accumulate(otypes[j].counts))
+        start = min((min(a, b) for a, b in zip(previous, ends) if a != b), default=0)
+        plan.append((j, start, ends))
+        previous = ends
+    return plan
 
-    The representatives are visited in lexicographic order, the reverse of
-    :func:`enumerate_compositions` order, so each shares the longest prefix
-    with the one before it.  Row d of one (L, rows) buffer holds the partial
-    products w(y_0|x_0) * ... * w(y_d|x_d), and only the rows past the shared
-    prefix are recomputed, each from one gather of w(y_d|.) and one multiply
-    in place.  The walk is a loop rather than a recursion, so a class of
-    length 1000 needs no deep stack, and the gather writes into the buffer,
-    so no level keeps a temporary of its own.
+
+def _chunk_sums(part: np.ndarray, block: np.ndarray, plan) -> np.ndarray:
+    """``sums[m, j]``: the ``math.fsum`` over the rows x of ``block`` of
+    a_m(x_0, y_0) * ... * a_m(x_{L-1}, y_{L-1}) for each matrix a_m of the
+    slice ``part`` and each output type j of ``plan``.
+
+    Row d of one (L, rows, matrices) buffer holds the partial products
+    through depth d, and only the rows past the prefix a representative
+    shares with the one before it are recomputed, each from one gather of
+    a_m(x_d, y_d) for every row and matrix and one multiply in place.  The
+    walk is a loop rather than a recursion, so a class of length 1000 needs
+    no deep stack, and the gather writes into the buffer, so no level keeps
+    a temporary of its own.
 
     A row whose partial product is 0 stays 0, so after a depth whose column
-    w(y_d|.) has a zero, the rows still nonzero are moved to the front of
-    buffer row d and their indices kept (int32, as rows <= ``_CHUNK``).  The
-    depths below, and every representative that shares the prefix, gather
-    and multiply only those rows, and the sum runs over them alone.  Columns
-    without a zero are never checked, so a channel without zeros takes the
-    walk as it was."""
+    a(., y_d) has a zero in some matrix, the rows still nonzero in any matrix
+    are moved to the front of buffer row d and their indices kept (int32, as
+    rows <= ``_CHUNK``).  The depths below, and every representative that
+    shares the prefix, gather and multiply only those rows, and the sum runs
+    over them alone.  Columns without a zero are never checked, so a slice
+    without zeros takes the walk as it was."""
+    matrices = part.shape[0]
     rows, length = block.shape
-    columns = list(np.ascontiguousarray(w.T))   # columns[y][x] = w(y|x)
-    has_zero = (w == 0.0).any(axis=0).tolist()  # has_zero[y]: w(y|.) has a zero
+    columns = list(np.ascontiguousarray(part.transpose(2, 1, 0)))  # columns[y][x, m]
+    has_zero = (part == 0.0).any(axis=(0, 1)).tolist()  # has_zero[y]: a(., y) has a zero
     inputs = list(block.T)                      # inputs[d][r] = x_d of row r
-    partial = list(np.empty((length, rows)))
-    # kept[d]: int32 indices of the rows whose product through depth d is
-    # nonzero, those products being partial[d][:len(kept[d])]; None while no
-    # row is dropped
+    buffer = list(np.empty((length, rows, matrices)))
+    # partial[d]: the products through depth d of the rows kept[d] (int32
+    # indices; None while no row is dropped), one column per matrix
+    partial: list[np.ndarray | None] = [None] * length
     kept: list[np.ndarray | None] = [None] * length
-    sums = np.empty(len(otypes))
-    take, multiply = np.take, np.multiply       # local names: the loop is hot
-    previous: list[int] = []
-    for j in range(len(otypes) - 1, -1, -1):
-        # ends[y] = q_0 + ... + q_y, where y_Q moves past symbol y; two
-        # representatives agree up to the first end at which they differ
-        ends = np.cumsum(otypes[j].counts).tolist()
-        start = min((min(a, b) for a, b in zip(previous, ends) if a != b), default=0)
+    empty = buffer[0][:0]
+    sums = np.empty((matrices, len(plan)))
+    multiply = np.multiply                      # a local name: the loop is hot
+    for j, start, ends in plan:
         for y, end in enumerate(ends):
             column, prune = columns[y], has_zero[y]
             for d in range(start, end):
                 alive = kept[d - 1] if d else None
                 if alive is None:
-                    row, symbols = partial[d], inputs[d]
+                    row, symbols = buffer[d], inputs[d]
                 elif alive.size:
-                    row, symbols = partial[d][:alive.size], inputs[d][alive]
+                    row, symbols = buffer[d][:alive.size], inputs[d][alive]
                 else:               # every row dropped: the rest stay empty
-                    kept[d] = alive
+                    partial[d], kept[d] = empty, alive
                     continue
-                take(column, symbols, out=row, mode="clip")
+                column.take(symbols, 0, row, "clip")
                 if d:
-                    multiply(partial[d - 1][:row.size], row, out=row)
+                    multiply(partial[d - 1], row, out=row)
                 if prune:
-                    nonzero = row.nonzero()[0]
-                    if nonzero.size < row.size:
-                        row[:nonzero.size] = row[nonzero]
+                    # with one matrix, the row itself is the mask
+                    nonzero = (row if matrices == 1 else row.any(axis=1)).nonzero()[0]
+                    if nonzero.size < len(row):
+                        row = row.take(nonzero, 0, buffer[d][:nonzero.size])
                         alive = nonzero.astype(np.int32) if alive is None else alive[nonzero]
-                kept[d] = alive
+                partial[d], kept[d] = row, alive
             start = max(start, end)
-        last = kept[length - 1]
-        sums[j] = math.fsum(partial[length - 1][:rows if last is None else last.size])
-        previous = ends
+        sums[:, j] = [math.fsum(products) for products in partial[length - 1].T]
     return sums
 
 
@@ -194,7 +229,7 @@ def cscc_composition_rate(ch: Channel, composition: Composition) -> CapacityResu
     """CSCC rate (bits/use) for a fixed subblock composition, via the
     symmetry-reduced output-type sum."""
     rate, = class_rates(ch, [composition],
-                        *class_laws(ch, [composition], composition.length))
+                        *class_laws(ch.w, [composition], composition.length))
     return CapacityResult(rate=max(rate, 0.0), composition=composition)
 
 
@@ -236,10 +271,10 @@ def law_tables(ch: Channel, lengths, threshold: float) -> dict[int, LawTable]:
     feasible = {length: feasible_compositions(ch, length, threshold)
                 for length in lengths}
     for length, compositions in feasible.items():
-        check_class_caps(ch, compositions, length)
+        check_class_caps(ch.output_size, compositions, length)
     tables = {}
     for length, compositions in feasible.items():
-        sizes, laws = class_laws(ch, compositions, length)
+        sizes, laws = class_laws(ch.w, compositions, length)
         tables[length] = LawTable(
             length, threshold, compositions,
             tuple(comp.mean_energy(ch.energy) for comp in compositions), sizes, laws,

@@ -2,9 +2,7 @@
 finite-blocklength rates into CSV, and runs the validation suite.
 
 Exit codes: 0 success, 2 infeasible input, 3 size cap exceeded.  Output is
-deterministic for a fixed command line and seed.  Grid points of a sweep may
-be evaluated on a thread pool sized by the SUBBLOCK_THREADS environment
-variable (default: all cores); rows are always emitted in grid order.
+deterministic for a fixed command line and seed.
 """
 
 from __future__ import annotations
@@ -14,15 +12,14 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import validation
 from .bounds import (cscc_rate_lower_bound_bsc, penalty_bound_bec,
                      penalty_bound_bsc, penalty_bound_z)
-from .capacity import (capacity_power, ccc_composition_rate, check_class_caps,
-                       cscc_composition_rate, cscc_from_table, law_tables)
+from .capacity import (capacity_power, ccc_composition_rate, class_laws, class_rates,
+                       cscc_from_table, law_tables)
 from .channel import Channel
 from .energy import (BufferConfig, balanced_composition, cscc_sequence,
                      max_subblock_length, simulate, worst_case_drawdown)
@@ -120,25 +117,6 @@ def parse_channel(spec: str, energies: str | None) -> Channel:
     raise DomainError(f"unknown channel spec {spec!r}")
 
 
-def _thread_count() -> int:
-    env = os.environ.get("SUBBLOCK_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, parse_number(env, int))
-        except DomainError as exc:
-            raise DomainError(f"SUBBLOCK_THREADS: {exc}") from None
-    return os.cpu_count() or 1
-
-
-def map_ordered(fn, items):
-    """Apply fn to grid points, possibly in parallel, preserving order."""
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _format(value) -> str:
     if value is None:
         return ""
@@ -217,7 +195,7 @@ def cmd_cscc_capacity(args) -> int:
             row.append(capacity_power(ch, threshold).rate)
         return row
 
-    write_csv(args.output, header, map_ordered(point, grid))
+    write_csv(args.output, header, [point(value) for value in grid])
     return EXIT_OK
 
 
@@ -225,7 +203,7 @@ def cmd_capacity_power(args) -> int:
     tol = _tolerance(args.tol)
     ch = parse_channel(args.channel, args.b)
     grid = parse_grid(args.b_values)
-    rows = map_ordered(lambda t: (t, capacity_power(ch, t, tol).rate), grid)
+    rows = [(t, capacity_power(ch, t, tol).rate) for t in grid]
     write_csv(args.output, ["B", "capacity"], rows)
     return EXIT_OK
 
@@ -271,7 +249,7 @@ def cmd_secc(args) -> int:
         row.append(capacity_power(ch, threshold).rate)
         return row
 
-    write_csv(args.output, header, map_ordered(point, grid))
+    write_csv(args.output, header, [point(value) for value in grid])
     return EXIT_OK
 
 
@@ -291,24 +269,23 @@ def cmd_penalty(args) -> int:
     loss = rate_loss(comp)
     column = "eps" if family == "bec" else "p0"
     grid = parse_grid(_require(getattr(args, column), f"--{column}"))
-    # the exact column is left out, not the command, when it is beyond the caps
+    channels = [make_channel(value) for value in grid]
+    # one kernel call for the whole grid; the exact column is left out, not
+    # the command, when the class is beyond the caps
     try:
-        check_class_caps(make_channel(grid[0]), [comp], comp.length)
-        exact = True
+        sizes, laws = class_laws(np.stack([ch.w for ch in channels]), [comp], comp.length)
     except SizeLimit:
-        exact = False
-    header = [column] + (["penalty_exact"] if exact else []) + ["bound", "rate_loss"]
-
-    def point(value):
-        ch = make_channel(value)
+        laws = None
+    header = [column] + (["penalty_exact"] if laws is not None else []) \
+        + ["bound", "rate_loss"]
+    rows = []
+    for k, (value, ch) in enumerate(zip(grid, channels)):
         row = [value]
-        if exact:
-            row.append(ccc_composition_rate(ch, comp)
-                       - cscc_composition_rate(ch, comp).rate)
-        row += [penalty_bound(value, comp).upper, loss]
-        return row
-
-    write_csv(args.output, header, map_ordered(point, grid))
+        if laws is not None:
+            rate, = class_rates(ch, [comp], sizes, laws[k])
+            row.append(ccc_composition_rate(ch, comp) - max(rate, 0.0))
+        rows.append(row + [penalty_bound(value, comp).upper, loss])
+    write_csv(args.output, header, rows)
     return EXIT_OK
 
 

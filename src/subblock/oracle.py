@@ -79,28 +79,35 @@ def cscc_composition_rate_bruteforce(ch: Channel, composition: Composition) -> f
     return _uniform_information(vector_channel(ch, composition)[2]) / composition.length
 
 
-def class_laws_by_sequence(ch: Channel, compositions, length: int
+def class_laws_by_sequence(a, compositions, length: int
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for :func:`~subblock.capacity.class_laws`, equal to it bit for
-    bit: the same ``(sizes, laws)``, with each P(y_Q | x) taken as the
-    product of one gathered (chunk, L) block along its rows, one output type
-    at a time, and the same chunked ``math.fsum`` over ``capacity._CHUNK``
-    sequences."""
-    capacity.check_class_caps(ch, compositions, length)
-    w, symbols = ch.w, np.arange(ch.output_size, dtype=np.int16)
-    otypes = enumerate_compositions(ch.output_size, length)
-    reps = [np.repeat(symbols, q.counts) for q in otypes]
+    bit and taking the same letter matrix ``a`` of shape ``(..., |X|, |Y|)``:
+    the same ``(sizes, laws)``, one matrix at a time, with each product
+    taken along the rows of one (chunk, L) block gathered from ``a`` by the
+    flat index x * |Y| + y, one output type at a time, and the same chunked
+    ``math.fsum`` over ``capacity._CHUNK`` sequences."""
+    a = np.asarray(a, dtype=float)
+    inputs, outputs = a.shape[-2:]
+    capacity.check_class_caps(outputs, compositions, length)
+    otypes = enumerate_compositions(outputs, length)
+    reps = [np.repeat(np.arange(outputs), q.counts) for q in otypes]
     sizes = np.array([float(type_class_size(q)) for q in otypes])
-    laws = np.empty((len(compositions), len(otypes)))
+    stack = a.reshape(-1, inputs, outputs)
+    laws = np.empty((len(stack), len(compositions), len(otypes)))
     chunk = capacity._CHUNK
     for i, comp in enumerate(compositions):
         sequences = materialize_type_class(comp, cap=capacity.CLASS_CAP)
         n = sequences.shape[0]
-        for j, rep in enumerate(reps):
-            parts = [math.fsum(w[sequences[start:start + chunk], rep].prod(axis=1))
-                     for start in range(0, n, chunk)]
-            laws[i, j] = math.fsum(parts) / n
-    return sizes, laws
+        index = sequences.astype(np.intp) * outputs
+        flat, gathered = np.empty_like(index), np.empty(index.shape)
+        for m, letters in enumerate(stack.reshape(len(stack), -1)):
+            for j, rep in enumerate(reps):
+                letters.take(np.add(index, rep, out=flat), out=gathered)
+                parts = [math.fsum(gathered[start:start + chunk].prod(axis=1))
+                         for start in range(0, n, chunk)]
+                laws[m, i, j] = math.fsum(parts) / n
+    return sizes, laws.reshape(a.shape[:-2] + laws.shape[1:])
 
 
 def per_input_information(ch: Channel, sequences) -> np.ndarray:

@@ -3,6 +3,7 @@ rate-loss term, and energy-feasible composition sets."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,20 +78,11 @@ def enumerate_compositions(alphabet_size: int, length: int) -> list[Composition]
         raise SizeLimit(
             f"{total} compositions exceed the enumeration cap of {ENUMERATION_CAP}"
         )
-    out: list[Composition] = []
-    counts = [0] * alphabet_size
-
-    def fill(i: int, remaining: int) -> None:
-        if i == alphabet_size - 1:
-            counts[i] = remaining
-            out.append(Composition(tuple(counts)))
-            return
-        for v in range(remaining + 1):
-            counts[i] = v
-            fill(i + 1, remaining - v)
-
-    fill(0, length)
-    return out
+    # stars and bars: the bars' positions, in lexicographic order, give the
+    # counts vectors in lexicographic order
+    stop = length + alphabet_size - 1
+    return [Composition(tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (stop,))))
+            for bars in itertools.combinations(range(stop), alphabet_size - 1)]
 
 
 def type_class_size(composition: Composition) -> int:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subblock import (Channel, Composition, EmptyFeasibleSet, Infeasible,
-                      SizeLimit, capacity_power, ccc_composition_rate,
+from subblock import (Channel, Composition, DomainError, EmptyFeasibleSet,
+                      Infeasible, SizeLimit, capacity_power, ccc_composition_rate,
                       cscc_capacity, cscc_composition_rate,
                       cscc_composition_rate_bruteforce, feasible_compositions,
                       mutual_information, type_class_size, vector_channel)
@@ -128,13 +128,21 @@ def test_size_limits():
         cscc_composition_rate_bruteforce(bsc(0.1), Composition((10, 10)))
 
 
+@pytest.mark.parametrize("a", [[0.5, 0.5], [[0.5, -0.1], [0.2, 0.8]],
+                               [[0.5, np.inf], [0.2, 0.8]], [[0.5, np.nan], [0.2, 0.8]]],
+                         ids=["one-dimensional", "negative", "infinite", "nan"])
+def test_kernel_rejects_a_malformed_letter_matrix(a):
+    with pytest.raises(DomainError):
+        class_laws(np.array(a), [Composition((1, 1))], 2)
+
+
 def test_output_type_class_beyond_the_float_range_is_a_size_limit():
     # |T_(515, 515)| = C(1030, 515) > 2**1024 > C(1029, 514); the class
     # (L - 1, 1) has only L sequences, so only the output side is too large
-    check_class_caps(bsc(0.1), [Composition((1028, 1))], 1029)
+    check_class_caps(2, [Composition((1028, 1))], 1029)
     for length in (1030, 2000):
         with pytest.raises(SizeLimit, match="float"):
-            check_class_caps(bsc(0.1), [Composition((length - 1, 1))], length)
+            check_class_caps(2, [Composition((length - 1, 1))], length)
 
 
 def test_ccc_composition_rate():
@@ -248,7 +256,7 @@ def test_law_table_rows_match_a_fresh_kernel_call(ch, length, levels):
     table = law_tables(ch, (length,), low)[length]
     rows = table.at(high)
     feasible = feasible_compositions(ch, length, high)
-    sizes, laws = class_laws(ch, feasible, length)
+    sizes, laws = class_laws(ch.w, feasible, length)
     assert rows.compositions == feasible
     assert np.array_equal(rows.sizes, sizes) and np.array_equal(rows.laws, laws)
     assert rows.rates == tuple(class_rates(ch, feasible, sizes, laws))
@@ -323,12 +331,12 @@ def test_kernel_holds_one_chunk_block_at_a_time(monkeypatch):
 
 def assert_kernel_frees_each_class_and_buffer(ch):
     classes = [Composition((8, 8)), Composition((7, 9))]
-    class_laws(ch, classes, 16)
+    class_laws(ch.w, classes, 16)
     gc.disable()    # a reference cycle would then keep what it holds
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
-        class_laws(ch, classes, 16)
+        class_laws(ch.w, classes, 16)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -4,7 +4,9 @@ constrained capacity solver, the P(y_Q) kernel against the per-sequence
 route, and the monotonicity and relabelling invariance of the three
 capacities."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,8 +210,8 @@ KERNEL_CASES = [
 
 
 def assert_kernel_matches_the_per_sequence_route(ch, classes, length):
-    sizes, laws = class_laws(ch, classes, length)
-    want_sizes, want_laws = class_laws_by_sequence(ch, classes, length)
+    sizes, laws = class_laws(ch.w, classes, length)
+    want_sizes, want_laws = class_laws_by_sequence(ch.w, classes, length)
     assert np.array_equal(sizes, want_sizes)
     assert np.array_equal(laws, want_laws)
 
@@ -254,7 +256,7 @@ ZERO_CASES = [
 def test_kernel_matches_the_per_sequence_route_where_rows_drop(ch, length):
     classes = enumerate_compositions(ch.input_size, length)
     assert_kernel_matches_the_per_sequence_route(ch, classes, length)
-    laws = class_laws(ch, classes, length)[1]
+    laws = class_laws(ch.w, classes, length)[1]
     unreachable = np.flatnonzero(ch.w.sum(axis=0) == 0.0)
     has_unreachable = [any(q.counts[y] for y in unreachable)
                        for q in enumerate_compositions(ch.output_size, length)]
@@ -267,7 +269,7 @@ def test_kernel_gives_exact_zeros_on_a_noiseless_channel():
     ch, length = Channel.noiseless(2), 12
     classes = enumerate_compositions(2, length)
     assert_kernel_matches_the_per_sequence_route(ch, classes, length)
-    laws = class_laws(ch, classes, length)[1]
+    laws = class_laws(ch.w, classes, length)[1]
     expected = np.diag([1.0 / type_class_size(comp) for comp in classes])
     assert np.array_equal(laws, expected)
 
@@ -292,3 +294,77 @@ def kernel_instances(draw):
 @given(instance=kernel_instances())
 def test_kernel_matches_the_per_sequence_route_on_channels_with_zeros(instance):
     assert_kernel_matches_the_per_sequence_route(*instance)
+
+
+def assert_each_member_matches(stack, classes, length):
+    """One kernel call over ``stack`` equals, member by member, a
+    single-matrix call and the per-sequence route, bit for bit."""
+    sizes, laws = class_laws(stack, classes, length)
+    assert laws.shape == stack.shape[:-2] + (len(classes), len(sizes))
+    want_sizes, want_laws = class_laws_by_sequence(stack, classes, length)
+    assert np.array_equal(sizes, want_sizes) and np.array_equal(laws, want_laws)
+    for index in np.ndindex(stack.shape[:-2]):
+        assert np.array_equal(class_laws(stack[index], classes, length)[1], laws[index]), index
+
+
+STACK_CASES = [
+    ("bsc-and-z", [Channel.bsc(0.0).w, Channel.bsc(0.1).w, Channel.bsc(0.5).w,
+                   Channel.z(0.3).w], 8),
+    # a zero in every row, in some rows, and in none, in one stack
+    ("bec-mixed-zeros", [Channel.bec(eps).w for eps in (0.0, 0.3, 1.0)], 8),
+    ("ternary", [TERNARY.w, TERNARY.w[::-1]], 6),
+    # letter matrices whose rows do not sum to 1
+    ("not-stochastic", [Channel.bsc(0.1).w ** 0.5, Channel.z(0.3).w ** 0.5,
+                        Channel.bsc(0.0).w * 3.0], 8),
+    ("ternary-not-stochastic", [TERNARY.w ** 0.5, Channel.noiseless(3).w], 6),
+]
+
+
+@pytest.mark.parametrize("matrices, length", [case[1:] for case in STACK_CASES],
+                         ids=[case[0] for case in STACK_CASES])
+def test_stacked_kernel_matches_each_member(matrices, length):
+    stack = np.stack(matrices)
+    classes = enumerate_compositions(stack.shape[-2], length)
+    assert_each_member_matches(stack, classes, length)
+
+
+def test_stacked_kernel_over_several_slices():
+    # 3,432 sequences leave room for four matrices per slice, so the ten
+    # matrices (in a 2 x 5 stack) take three slices
+    stack = np.stack([Channel.bec(eps).w for eps in np.linspace(0.0, 1.0, 10)])
+    width = subblock.capacity._SLICE // type_class_size(Composition((7, 7)))
+    assert width == 4
+    assert_each_member_matches(stack.reshape(2, 5, 2, 3), [Composition((7, 7))], 14)
+
+
+@pytest.mark.parametrize("matrices", [
+    [Channel.bsc(0.0).w, Channel.bsc(0.1).w, Channel.bsc(0.5).w, Channel.z(0.3).w,
+     Channel.bsc(0.1).w ** 0.5],
+    [Channel.bec(eps).w for eps in (0.0, 0.3, 1.0)]], ids=["binary", "bec"])
+def test_stacked_kernel_over_several_chunks(matrices, monkeypatch):
+    # (8, 8)'s 12,870 sequences span four chunks of 4,096, and four matrices
+    # fit in a slice
+    monkeypatch.setattr(subblock.capacity, "_CHUNK", 4096)
+    assert_each_member_matches(np.stack(matrices), [Composition((8, 8))], 16)
+
+
+def test_stacked_kernel_holds_one_slice_buffer_at_a_time():
+    stack = np.stack([Channel.bec(eps).w for eps in np.linspace(0.0, 1.0, 12)])
+    comp = Composition((7, 7))
+    class_laws(stack, [comp], 14)
+    gc.disable()    # a reference cycle would then keep what it holds
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        class_laws(stack, [comp], 14)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    rows = type_class_size(comp)
+    width = subblock.capacity._SLICE // rows                  # 4 of the 12 matrices
+    sequences = rows * comp.length                            # int8
+    buffer = comp.length * width * rows * 8                   # one slice's float64 buffer
+    assert current - baseline < 64 * 1024
+    # a second slice's buffer, or one buffer for the whole stack, would exceed this
+    assert peak - baseline < sequences + 1.5 * buffer

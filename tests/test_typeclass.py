@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import tracemalloc
@@ -23,6 +24,25 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
     assert comps == sorted(comps)
     assert len(set(comps)) == len(comps)
     assert all(sum(c) == 5 for c in comps)
+
+
+def test_enumeration_list_is_freed_without_the_cycle_collector():
+    enumerate_compositions(3, 16)
+    gc.disable()    # a reference cycle would then keep the list alive
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        comps = enumerate_compositions(3, 16)
+        held = tracemalloc.get_traced_memory()[0] - baseline
+        del comps
+        left = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held > 10_000        # 153 compositions
+    # the counts tuples stay on the interpreter's tuple free list; the list,
+    # the compositions and their dicts are gone
+    assert left < held / 2
 
 
 def test_enumeration_size_limit():
