@@ -15,7 +15,8 @@ from .energy import (UNBOUNDED, BufferConfig, EnergyTrace, adversarial_codeword,
                      simulate, worst_case_drawdown)
 from .errors import (AbsoluteContinuityViolation, DegenerateComposition,
                      DegenerateSplit, DomainError, EmptyFeasibleSet,
-                     Infeasible, NoConvergence, SizeLimit, SubblockError)
+                     Infeasible, InfiniteExponent, NoConvergence, SizeLimit,
+                     SubblockError)
 from .exponent import (CsccErrorBound, ExponentCurve, TiltedSolution,
                        critical_rate, cscc_error_bound,
                        cscc_exponent_lower_bound, exponent_curve,

@@ -320,14 +320,24 @@ def ccc_composition_rate(ch: Channel, composition) -> float:
 
 def _divergences(w: np.ndarray):
     """A function of an input prior p returning ``(pW, d)``, where d[x] is
-    D(W(.|x) || pW) in nats; log W is computed once."""
+    D(W(.|x) || pW) in nats; log W is computed once.  Arrays passed as ``pw``
+    and ``d`` receive the results, else fresh ones are returned; the terms
+    w (log w - log pW) go to a work array of the closure.  The terms at
+    the zeros of W are replaced by 0, so where W has no zero that step and
+    the masks of log W are skipped: the values are the same bit for bit."""
     positive = w > 0.0
-    logw = np.where(positive, np.log(np.where(positive, w, 1.0)), 0.0)
+    zeros = None if positive.all() else ~positive
+    logw = np.log(w) if zeros is None else \
+        np.where(positive, np.log(np.where(positive, w, 1.0)), 0.0)
+    log_pw, terms = np.empty(w.shape[1]), np.empty_like(w)
 
-    def evaluate(p):
-        pw = p @ w
-        log_pw = np.log(np.maximum(pw, 1e-300))
-        return pw, np.where(positive, w * (logw - log_pw[None, :]), 0.0).sum(axis=1)
+    def evaluate(p, pw=None, d=None):
+        pw = np.matmul(p, w, out=pw)
+        np.log(np.maximum(pw, 1e-300, out=log_pw), out=log_pw)
+        np.multiply(w, np.subtract(logw, log_pw, out=terms), out=terms)
+        if zeros is not None:
+            np.copyto(terms, 0.0, where=zeros)
+        return pw, np.add.reduce(terms, 1, out=d)
 
     return evaluate
 
@@ -339,7 +349,13 @@ def blahut_arimoto(w: np.ndarray, *, tol_nats: float = 1e-12,
 
     Stops when the duality gap max_x score_x - E_p[score] drops below
     ``tol_nats``; the gap certifies the distance to the true maximum.
-    Returns ``(p, mutual_information_nats, iterations, gap_nats)``.
+    Returns ``(p, mutual_information_nats, iterations, gap_nats)``; after
+    ``max_iter`` iterations, p is the last update and the other values are
+    those of the prior before it.
+
+    Each iteration computes score = d + bonus and the update
+    p <- p exp(score - max) / sum, with log p taken as -inf where p is 0, by
+    direct ufunc calls into arrays allocated once per call.
     """
     w = np.asarray(w, dtype=float)
     n_in = w.shape[0]
@@ -347,22 +363,30 @@ def blahut_arimoto(w: np.ndarray, *, tol_nats: float = 1e-12,
     p = np.full(n_in, 1.0 / n_in) if p_init is None else np.asarray(p_init, float).copy()
     p = np.clip(p, 0.0, None)
     p /= p.sum()
+    pw, d, log_p = np.empty(w.shape[1]), np.empty(n_in), np.empty(n_in)
+    score = d if bonus is None else np.empty(n_in)
+    add, maximum = np.add, np.maximum   # local names: the loop is hot
     iterations = 0
     info = 0.0
     gap = math.inf
     for iterations in range(1, max_iter + 1):
-        _, d = divergences(p)
-        score = d if bonus is None else d + bonus
+        divergences(p, pw, d)
+        if bonus is not None:
+            add(d, bonus, out=score)
         objective = float(p @ score)
-        info = float(p @ d)
-        gap = float(score.max() - objective)
-        if gap <= tol_nats:
-            break
-        with np.errstate(divide="ignore"):
-            log_p = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -math.inf) + score
-        log_p -= log_p.max()
-        p = np.exp(log_p)
-        p /= p.sum()
+        gap = float(maximum.reduce(score)) - objective
+        if gap <= tol_nats or iterations == max_iter:
+            info = objective if bonus is None else float(p @ d)
+            if gap <= tol_nats:
+                break
+        if np.minimum.reduce(p) > 0.0:
+            np.log(p, out=log_p)
+        else:
+            log_p[:] = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -math.inf)
+        add(log_p, score, out=log_p)
+        np.subtract(log_p, maximum.reduce(log_p), out=log_p)
+        np.exp(log_p, out=p)
+        np.divide(p, add.reduce(p), out=p)
     return p, info, iterations, gap
 
 

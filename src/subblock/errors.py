@@ -36,3 +36,8 @@ class DegenerateSplit(SubblockError):
 
 class NoConvergence(SubblockError):
     """Iterative solver failed to converge within its iteration budget."""
+
+
+class InfiniteExponent(NoConvergence):
+    """No channel of finite divergence meets the rate: the target lies below
+    the rate of the most-tilted family member, so E_sp is infinite."""

@@ -11,13 +11,14 @@ assumed silently).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .channel import (Channel, as_distribution, divergence_conditional,
                       mutual_information, mutual_information_matrix)
-from .errors import DomainError, NoConvergence
+from .errors import DomainError, InfiniteExponent, NoConvergence
 from .typeclass import Composition, rate_loss
 
 _MONOTONE_SLACK = 1e-9
@@ -28,16 +29,25 @@ FIXED_POINT_MAX_ITER = 100_000
 @dataclass(frozen=True)
 class TiltedSolution:
     """One point of the tilted family: tilt s, channel v, output marginal pv,
-    its rate I(P, V) and divergence D(V || W | P) in bits, plus the fixed-point
-    residual max |p @ v - pv|."""
+    its rate I(P, V) in bits, the fixed-point iterations and residual
+    max |p @ v - pv|, and whether the 0.5 damping engaged.  The divergence
+    D(V || W | P) in bits is computed on first use, from the reference
+    channel ``w`` and input distribution ``p`` kept for it, since a bisection
+    step reads only the rate."""
 
     s: float
     v: np.ndarray
     pv: np.ndarray
     rate: float
-    divergence: float
     iterations: int
     residual: float
+    damped: bool
+    w: np.ndarray = field(repr=False)
+    p: np.ndarray = field(repr=False)
+
+    @cached_property
+    def divergence(self) -> float:
+        return divergence_conditional(self.v, self.w, self.p)
 
 
 @dataclass(frozen=True)
@@ -50,49 +60,60 @@ class ExponentCurve:
     e_sp_at_critical: float
 
 
-def _tilt_rows(wpow: np.ndarray, pv: np.ndarray, s: float,
-               w: np.ndarray) -> np.ndarray:
-    scaled = wpow * np.power(pv, s)[None, :]
-    denom = scaled.sum(axis=1)
+def _tilt_rows(wpow: np.ndarray, pv: np.ndarray, s: float, w: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The rows of V(pv) in ``out`` (or a fresh array): wpow * pv^s, each
+    divided by its sum.  A row can lose all mass only when pv vanished on its
+    support; such rows carry no input probability and keep the reference row
+    there.  Without such a row the masks are skipped: the values are the same
+    bit for bit."""
+    v = np.multiply(wpow, np.power(pv, s), out=out)
+    denom = np.add.reduce(v, 1)
+    if np.minimum.reduce(denom) > 0.0:
+        return np.divide(v, denom[:, None], out=v)
     safe = np.where(denom > 0.0, denom, 1.0)
-    v = scaled / safe[:, None]
-    # a row can lose all mass only when pv vanished on its support; such rows
-    # carry no input probability, keep the reference row there
-    return np.where(denom[:, None] > 0.0, v, w)
+    v[:] = np.where(denom[:, None] > 0.0, v / safe[:, None], w)
+    return v
 
 
 def tilted_fixed_point(ch: Channel, input_dist, s: float,
-                       tol: float = FIXED_POINT_TOL) -> TiltedSolution:
+                       tol: float = FIXED_POINT_TOL, *,
+                       normalized: bool = False) -> TiltedSolution:
     """Solve the output-marginal fixed point for tilt ``s``.
 
     Iterates pv <- p @ V(pv) from pv = PW until the max-abs change drops below
     ``tol``, for at most ``FIXED_POINT_MAX_ITER`` iterations.  A 0.5 damping
     factor engages only if the residuals stop decreasing monotonically over
-    three consecutive steps.
+    three consecutive steps; ``damped`` reports whether it did.  ``p`` is
+    ``as_distribution(input_dist)``, or ``input_dist`` itself when
+    ``normalized`` says it is already such an output.
     """
     if not 0.0 <= s <= 1.0:
         raise DomainError("tilt parameter must lie in [0, 1]")
-    p = as_distribution(input_dist, ch.input_size)
+    p = input_dist if normalized else as_distribution(input_dist, ch.input_size)
     w = ch.w
     positive = w > 0.0
-    wpow = np.where(positive, np.power(np.where(positive, w, 1.0), 1.0 - s), 0.0)
+    wpow = np.power(w, 1.0 - s) if positive.all() else \
+        np.where(positive, np.power(np.where(positive, w, 1.0), 1.0 - s), 0.0)
     pv = p @ w
+    v, pv_next, change = np.empty_like(w), np.empty_like(pv), np.empty_like(pv)
     damped = False
     recent: list[float] = []
     iterations = 0
     for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
-        v = _tilt_rows(wpow, pv, s, w)
-        pv_next = p @ v
-        residual = float(np.abs(pv_next - pv).max())
+        np.matmul(p, _tilt_rows(wpow, pv, s, w, v), out=pv_next)
+        residual = float(np.maximum.reduce(
+            np.absolute(np.subtract(pv_next, pv, out=change), out=change)))
         if residual <= tol:
             pv = pv_next
             break
-        recent.append(residual)
-        if len(recent) > 3:
-            recent.pop(0)
-        if not damped and len(recent) == 3 and not recent[0] > recent[1] > recent[2]:
-            damped = True
-        pv = 0.5 * (pv + pv_next) if damped else pv_next
+        if not damped:
+            recent = recent[-2:] + [residual]
+            damped = len(recent) == 3 and not recent[0] > recent[1] > recent[2]
+        if damped:
+            np.multiply(0.5, np.add(pv, pv_next, out=pv), out=pv)
+        else:
+            pv, pv_next = pv_next, pv
     else:
         raise NoConvergence(
             f"tilted fixed point did not converge at s={s} "
@@ -100,12 +121,9 @@ def tilted_fixed_point(ch: Channel, input_dist, s: float,
         )
     v = _tilt_rows(wpow, pv, s, w)
     residual = float(np.abs(p @ v - pv).max())
-    return TiltedSolution(
-        s=s, v=v, pv=pv,
-        rate=mutual_information_matrix(p, v),
-        divergence=divergence_conditional(v, w, p),
-        iterations=iterations, residual=residual,
-    )
+    return TiltedSolution(s=s, v=v, pv=pv, rate=mutual_information_matrix(p, v),
+                          iterations=iterations, residual=residual, damped=damped,
+                          w=w, p=p)
 
 
 def sphere_packing_solution(ch: Channel, input_dist, rate_target: float,
@@ -113,21 +131,26 @@ def sphere_packing_solution(ch: Channel, input_dist, rate_target: float,
     """The tilted solution witnessing E_sp at ``rate_target`` < I(P, W):
     bisect s in [0, 1] until |I(P, V) - rate_target| <= tol.
 
-    Raises :class:`NoConvergence` if the rate is ever observed outside the
-    current bracket (the family's monotonicity is checked, not assumed).
+    Raises :class:`InfiniteExponent` if the target lies below the rate of the
+    most-tilted member, s = 1, and :class:`NoConvergence` if the rate is ever
+    observed outside the current bracket (the family's monotonicity is
+    checked, not assumed).  The fixed points and I(P, W) share one P:
+    ``input_dist`` passed twice through :func:`as_distribution`.  Each pass
+    can move an entry by an ulp, and both are kept, so the values stay bit
+    for bit those of one pass here and one in each fixed point.
     """
     if rate_target <= 0.0:
         raise DomainError("rate must be positive")
-    p = as_distribution(input_dist, ch.input_size)
-    rate_lo = mutual_information(p, ch)
+    p = as_distribution(as_distribution(input_dist, ch.input_size), ch.input_size)
+    rate_lo = mutual_information_matrix(p, ch.w)
     if rate_target >= rate_lo:
         raise DomainError("target rate is not below I(P, W); the exponent is 0")
     lo = 0.0
-    hi_sol = tilted_fixed_point(ch, p, 1.0)
+    hi_sol = tilted_fixed_point(ch, p, 1.0, normalized=True)
     hi, rate_hi = 1.0, hi_sol.rate
     if rate_target <= rate_hi - tol:
         # every finite-divergence channel in the family carries more rate
-        raise NoConvergence(
+        raise InfiniteExponent(
             "rate target lies below the most-tilted family member; "
             "the exponent is infinite along this direction"
         )
@@ -135,7 +158,7 @@ def sphere_packing_solution(ch: Channel, input_dist, rate_target: float,
         return hi_sol
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        sol = tilted_fixed_point(ch, p, mid)
+        sol = tilted_fixed_point(ch, p, mid, normalized=True)
         if sol.rate > rate_lo + _MONOTONE_SLACK or sol.rate < rate_hi - _MONOTONE_SLACK:
             raise NoConvergence(
                 f"rate is not monotone in the tilt near s={mid}; cannot bisect"
@@ -160,10 +183,8 @@ def sphere_packing(ch: Channel, input_dist, rate: float, tol: float = 1e-9) -> f
         return 0.0
     try:
         return sphere_packing_solution(ch, p, rate, tol).divergence
-    except NoConvergence as exc:
-        if "infinite" in str(exc):
-            return math.inf
-        raise
+    except InfiniteExponent:
+        return math.inf
 
 
 def critical_rate(ch: Channel, input_dist) -> TiltedSolution:

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from subblock import (Channel, Composition, DomainError, critical_rate,
-                      cscc_error_bound, cscc_exponent_lower_bound,
-                      exponent_curve, mutual_information, random_coding,
-                      rate_loss, sphere_packing, sphere_packing_solution,
+import subblock
+from subblock import (Channel, Composition, DomainError, InfiniteExponent,
+                      NoConvergence, critical_rate, cscc_error_bound,
+                      cscc_exponent_lower_bound, exponent_curve,
+                      mutual_information, random_coding, rate_loss,
+                      sphere_packing, sphere_packing_solution,
                       tilted_fixed_point)
 from subblock.oracle import grid_oracle_esp_bsc
 
@@ -83,6 +85,23 @@ def test_sphere_packing_low_rate_approaches_full_tilt():
 def test_sphere_packing_infinite_for_noiseless():
     noiseless = Channel.noiseless(2, (0.0, 1.0))
     assert sphere_packing(noiseless, UNIFORM, 0.5) == math.inf
+
+
+def test_infinite_exponent_is_its_own_exported_error():
+    ch = Channel.bsc(0.0)
+    assert sphere_packing(ch, UNIFORM, 0.5) == math.inf
+    with pytest.raises(InfiniteExponent):
+        sphere_packing_solution(ch, UNIFORM, 0.5)
+    assert issubclass(InfiniteExponent, NoConvergence)
+    assert "InfiniteExponent" in subblock.__all__
+
+
+def test_fixed_point_reports_damping():
+    # near s = 1 the BEC's residuals stop falling monotonically
+    damped = tilted_fixed_point(Channel.bec(0.3), UNIFORM, 0.99)
+    assert damped.damped and damped.residual <= 1e-12
+    plain = tilted_fixed_point(Channel.z(0.3), UNIFORM, 0.99)
+    assert not plain.damped and plain.residual <= 1e-12
 
 
 def test_sphere_packing_convex_and_positive():
