@@ -21,7 +21,8 @@ from .exponent import (CsccErrorBound, ExponentCurve, TiltedSolution,
                        critical_rate, cscc_error_bound,
                        cscc_exponent_lower_bound, exponent_curve,
                        random_coding, sphere_packing, sphere_packing_solution,
-                       tilted_fixed_point)
+                       sphere_packing_solutions, tilted_fixed_point,
+                       tilted_fixed_points)
 from .finiteblock import LsdPoint, lsd_point, lsd_rate_bsc, q_function, qinv
 from .oracle import (asymmetry_witness, cscc_composition_rate_bruteforce,
                      per_input_information, vector_channel)

@@ -25,7 +25,7 @@ from .energy import (BufferConfig, adversarial_codeword, balanced_composition,
                      cscc_sequence, max_subblock_length, simulate,
                      worst_case_drawdown)
 from .errors import DomainError
-from .exponent import critical_rate, sphere_packing, sphere_packing_solution
+from .exponent import critical_rate, sphere_packing, sphere_packing_solutions
 from .finiteblock import lsd_rate_bsc
 from .oracle import (asymmetry_witness, cscc_composition_rate_bruteforce,
                      grid_oracle_esp_bsc, per_input_information)
@@ -199,8 +199,7 @@ def check_exponents() -> CriterionResult:
         info = mutual_information(p, ch)
         grid = np.linspace(0.02, info - 0.005, 50)
         values = []
-        for rate in grid:
-            sol = sphere_packing_solution(ch, p, float(rate), tol=1e-10)
+        for rate, sol in zip(grid, sphere_packing_solutions(ch, p, grid, tol=1e-10)):
             values.append(sol.divergence)
             if abs(sol.rate - rate) > 1e-8:
                 failures.append(f"KKT violated at p0={p0}, R={rate:.4f}")

@@ -151,6 +151,43 @@ def test_exponent_curve_shape():
     assert curve.critical_rate > 0.0
 
 
+def counted_stacked_solves(monkeypatch):
+    calls = []
+    solve = subblock.exponent._tilted_stack
+
+    def counting(w, p, tilts, tol):
+        calls.append(len(tilts))
+        return solve(w, p, tilts, tol)
+
+    monkeypatch.setattr(subblock.exponent, "_tilted_stack", counting)
+    return calls
+
+
+def test_exponent_curve_rejects_a_nonpositive_rate_before_any_solve(monkeypatch):
+    calls = counted_stacked_solves(monkeypatch)
+    ch = Channel.bsc(0.1)
+    for bad in (0.0, -0.1):
+        with pytest.raises(DomainError):
+            exponent_curve(ch, UNIFORM, [0.1, 0.2, 0.3, bad])
+    assert calls == []
+    exponent_curve(ch, UNIFORM, [0.1, 0.2, 0.3])
+    assert calls
+
+
+def test_exponent_curve_makes_one_stacked_solve_per_bisection_level(monkeypatch):
+    calls = counted_stacked_solves(monkeypatch)
+    ch = Channel.bsc(0.1)
+    rates = np.linspace(0.02, 0.5, 25)
+    depth = 0
+    for rate in rates:
+        sphere_packing(ch, UNIFORM, rate)
+        depth = max(depth, len(calls) - 1)      # the s = 1 solve, then one per level
+        calls.clear()
+    exponent_curve(ch, UNIFORM, rates)
+    # the critical rate, the s = 1 solve, then one solve per level of the deepest rate
+    assert len(calls) == 2 + depth
+
+
 def test_cscc_error_bound_branches():
     ch = Channel.bsc(0.1)
     comp = Composition((4, 4))

@@ -4,7 +4,9 @@ The solvers write into preallocated arrays, call ufuncs and reductions
 directly, skip masks that are identities on dense inputs, and compute the
 tilted family's divergence only when it is read.  None of that may change a
 floating-point result, so each reference below is the textbook loop written
-with array expressions, and every comparison is exact (``==``).
+with array expressions, and every comparison is exact (``==``).  The stacked
+fixed point and the lockstep bisection are held to the same one-tilt,
+one-rate references, member by member.
 """
 
 import math
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 from subblock import (Channel, as_distribution, divergence_conditional,
-                      exponent_curve, mutual_information, tilted_fixed_point)
+                      exponent_curve, mutual_information, sphere_packing_solutions,
+                      tilted_fixed_point, tilted_fixed_points)
 from subblock.capacity import blahut_arimoto
 from subblock.channel import mutual_information_matrix
 from subblock.exponent import FIXED_POINT_MAX_ITER, FIXED_POINT_TOL
@@ -131,6 +134,25 @@ def test_tilted_fixed_point_matches_reference_loop(ch, p, s):
         (ref["rate"], ref["divergence"], ref["iterations"], ref["residual"], ref["damped"])
 
 
+STACKED_TILTS = [s for _, _, s in TILTED_CASES]
+
+
+@pytest.mark.parametrize("ch, p", [(ch, p) for ch, p, _ in TILTED_CASES])
+def test_stacked_fixed_point_matches_reference_loop_per_member(ch, p):
+    # members converge after different numbers of iterations, and on the BEC
+    # the s = 0.99 member damps while the others do not
+    sols = tilted_fixed_points(ch, p, STACKED_TILTS)
+    assert len(sols) == len(STACKED_TILTS)
+    for sol, s in zip(sols, STACKED_TILTS):
+        ref = reference_tilted(ch, p, s)
+        assert sol.s == s
+        assert np.array_equal(sol.v, ref["v"]) and np.array_equal(sol.pv, ref["pv"])
+        assert (sol.rate, sol.divergence, sol.iterations, sol.residual, sol.damped) == \
+            (ref["rate"], ref["divergence"], ref["iterations"], ref["residual"], ref["damped"])
+    if ch.input_size == 2 and ch.output_size == 3:      # the BEC
+        assert any(sol.damped for sol in sols) and not all(sol.damped for sol in sols)
+
+
 def reference_sphere_packing(ch, input_dist, rate, tol):
     p = as_distribution(input_dist, ch.input_size)
     if rate >= mutual_information(p, ch):
@@ -153,20 +175,46 @@ def reference_sphere_packing(ch, input_dist, rate, tol):
     return found["divergence"]
 
 
-@pytest.mark.parametrize("ch, p", [
-    (Channel.bsc(0.1), [0.5, 0.5]),
-    (Channel.z(0.3), [0.3, 0.7]),
-    (TERNARY, [0.7, 0.2, 0.1]),
-    (Channel.bsc(0.0), [0.5, 0.5]),     # e_sp = inf below capacity
-])
-def test_exponent_curve_matches_reference_loop(ch, p):
-    rates = np.linspace(0.02, 1.1, 12)
-    curve = exponent_curve(ch, p, rates)
+def reference_curve(ch, p, rates):
     crit = reference_tilted(ch, p, 0.5)
     points = []
     for rate in rates.tolist():
         e_sp = reference_sphere_packing(ch, p, rate, 1e-9)
         e_r = e_sp if rate >= crit["rate"] else crit["divergence"] + crit["rate"] - rate
         points.append((rate, e_sp, e_r))
-    assert curve.points == tuple(points)
+    return tuple(points), crit
+
+
+@pytest.mark.parametrize("ch, p", [
+    (Channel.bsc(0.1), [0.5, 0.5]),
+    (Channel.z(0.3), [0.3, 0.7]),
+    (TERNARY, [0.7, 0.2, 0.1]),
+    (Channel.bsc(0.0), [0.5, 0.5]),     # e_sp = inf below capacity
+    (DENSE, [0.1, 0.2, 0.3, 0.4]),
+])
+def test_exponent_curve_matches_reference_loop(ch, p):
+    rates = np.linspace(0.02, 1.1, 12)
+    curve = exponent_curve(ch, p, rates)
+    points, crit = reference_curve(ch, p, rates)
+    assert curve.points == points
     assert (curve.critical_rate, curve.e_sp_at_critical) == (crit["rate"], crit["divergence"])
+
+
+@pytest.mark.parametrize("ch, p, rates", [
+    # the lowest rates need tilts above 0.95, where the fixed point damps
+    (Channel.bec(0.3), [0.5, 0.5], [1e-7, 1e-6, 1e-5, 1e-3, 0.05, 0.3]),
+    # rates out of order, one of them twice, and two at or above I(P, W)
+    (Channel.z(0.3), [0.3, 0.7], [0.3, 0.05, 0.5, 0.2, 0.05, 0.4, 0.01]),
+])
+def test_exponent_curve_matches_reference_loop_on_uneven_grids(ch, p, rates):
+    rates = np.array(rates)
+    curve = exponent_curve(ch, p, rates)
+    points, crit = reference_curve(ch, p, rates)
+    assert curve.points == points
+    assert (curve.critical_rate, curve.e_sp_at_critical) == (crit["rate"], crit["divergence"])
+    info = mutual_information(p, ch)
+    sols = sphere_packing_solutions(ch, p, rates[rates < info])
+    if ch.output_size == 3:     # the BEC
+        assert max(sol.s for sol in sols) > 0.95 and any(sol.damped for sol in sols)
+    else:
+        assert np.count_nonzero(rates >= info) == 2
