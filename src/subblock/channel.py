@@ -15,6 +15,7 @@ import numpy as np
 from .errors import AbsoluteContinuityViolation, DomainError
 
 PROB_TOL = 1e-12
+_ULP = float(np.finfo(float).eps)     # the spacing of floats just above 1
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -23,22 +24,35 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_distribution(p, size: int | None = None) -> np.ndarray:
-    """Validate an array-like as a probability vector and return it normalized.
+def _normalized(a: np.ndarray, name: str) -> np.ndarray:
+    """The nonnegative ``a``, read-only, with each vector along its last axis
+    kept as given if its sum is within 2n ulps of 1 (n its length), else
+    divided by its sum.  A division leaves the sum within n ulps of 1, so a
+    second pass returns its input bit for bit.  A sum more than ``PROB_TOL``
+    from 1 is a :class:`DomainError` naming ``name``."""
+    sums = np.add.reduce(a, -1, keepdims=True)
+    off = np.absolute(sums - 1.0)
+    worst, ulps = off.max(), 2 * a.shape[-1] * _ULP
+    if worst > PROB_TOL:
+        raise DomainError(f"{name} sums to {float(sums.flat[off.argmax()])!r}, not 1")
+    return _readonly(np.where(off > ulps, a / sums, a) if worst > ulps else a)
 
-    Entries must be non-negative and sum to 1 within ``PROB_TOL``; tiny negative
-    noise is clamped to zero.
+
+def as_distribution(p, size: int | None = None) -> np.ndarray:
+    """Validate an array-like as a probability vector and return it normalized
+    once: a second pass returns its input bit for bit.
+
+    Entries must be finite, non-negative and sum to 1 within ``PROB_TOL``;
+    tiny negative noise is clamped to zero.
     """
     q = np.asarray(p, dtype=float).ravel()
     if size is not None and q.size != size:
         raise DomainError(f"distribution has length {q.size}, expected {size}")
+    if not np.isfinite(q).all():
+        raise DomainError("distribution entries must be finite")
     if q.min(initial=0.0) < -PROB_TOL:
         raise DomainError("distribution has a negative entry")
-    total = q.sum()
-    if abs(total - 1.0) > PROB_TOL:
-        raise DomainError(f"distribution sums to {total!r}, not 1")
-    q = np.clip(q, 0.0, None) / total
-    return _readonly(q)
+    return _normalized(np.maximum(q, 0.0), "distribution")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +60,9 @@ class Channel:
     """A DMC given by a row-stochastic matrix ``w[x, y]`` plus a per-symbol
     harvested-energy map ``energy[x]``.
 
-    Rows whose sums deviate from 1 by at most ``PROB_TOL`` are renormalized;
-    anything worse is rejected.
+    Rows whose sums deviate from 1 by at most ``PROB_TOL`` are normalized by
+    the rule of :func:`as_distribution`, so ``Channel(ch.w, ch.energy).w``
+    equals ``ch.w`` bit for bit; anything worse is rejected.
     """
 
     w: np.ndarray
@@ -61,11 +76,7 @@ class Channel:
             raise DomainError("transition probabilities must be finite")
         if w.min() < -PROB_TOL or w.max() > 1.0 + PROB_TOL:
             raise DomainError("transition probabilities must lie in [0, 1]")
-        w = np.clip(w, 0.0, 1.0)
-        sums = w.sum(axis=1)
-        if np.abs(sums - 1.0).max() > PROB_TOL:
-            raise DomainError("rows of the transition matrix must sum to 1")
-        w = w / sums[:, None]
+        w = _normalized(np.clip(w, 0.0, 1.0), "a row of the transition matrix")
         b = np.asarray(self.energy, dtype=float).ravel()
         if b.size != w.shape[0]:
             raise DomainError("energy map length must equal the input alphabet size")
@@ -73,7 +84,7 @@ class Channel:
             raise DomainError("energies must be finite")
         if b.min(initial=0.0) < 0.0:
             raise DomainError("energies must be non-negative")
-        object.__setattr__(self, "w", _readonly(w))
+        object.__setattr__(self, "w", w)
         object.__setattr__(self, "energy", _readonly(b))
 
     @property
@@ -180,14 +191,26 @@ def output_distribution(p, ch: Channel) -> np.ndarray:
     return as_distribution(p, ch.input_size) @ ch.w
 
 
+def information_stack(p, v) -> tuple[list[float], list[float]]:
+    """H(V|P) and I(P, V) = H(PV) - H(V|P) in bits for each matrix V of the
+    stack ``v``, of shape ``(k, |X|, |Y|)``, under input weights ``p``.  The
+    terms of every member come from one array, and each entropy is one
+    ``math.fsum``, so a member's values do not depend on the rest of the
+    stack.  I(P, V) is clamped at 0 against float noise."""
+    v = np.asarray(v, dtype=float)
+    q = np.asarray(p, dtype=float).ravel()
+    support = q > 0.0
+    terms = np.where(v > 0.0, v * np.log2(np.where(v > 0.0, v, 1.0)), 0.0)
+    weighted = (q[support][:, None] * terms[:, support]).reshape(v.shape[0], -1)
+    h_cond = [-math.fsum(joint) for joint in weighted.tolist()]
+    info = [-math.fsum(x * math.log2(x) for x in out if x > 0.0) - h
+            for out, h in zip(np.matmul(q, v).tolist(), h_cond)]
+    return h_cond, [value if value > 0.0 else 0.0 for value in info]
+
+
 def conditional_entropy_matrix(w: np.ndarray, p) -> float:
     """H(W|P) in bits for a row-stochastic matrix ``w`` and input weights ``p``."""
-    w = np.asarray(w, dtype=float)
-    q = np.asarray(p, dtype=float).ravel()
-    terms = np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
-    return -math.fsum(q[x] * terms[x, y]
-                      for x in range(w.shape[0]) if q[x] > 0.0
-                      for y in range(w.shape[1]))
+    return information_stack(p, np.asarray(w, dtype=float)[None])[0][0]
 
 
 def conditional_entropy(ch: Channel, p) -> float:
@@ -197,11 +220,7 @@ def conditional_entropy(ch: Channel, p) -> float:
 
 def mutual_information_matrix(p, w: np.ndarray) -> float:
     """I(P, W) = H(PW) - H(W|P) in bits for a raw stochastic matrix."""
-    w = np.asarray(w, dtype=float)
-    q = np.asarray(p, dtype=float).ravel()
-    value = entropy(q @ w) - conditional_entropy_matrix(w, q)
-    # guard against -1e-17 float noise; I(P, W) is non-negative
-    return value if value > 0.0 else 0.0
+    return information_stack(p, np.asarray(w, dtype=float)[None])[1][0]
 
 
 def mutual_information(p, ch: Channel) -> float:

@@ -140,8 +140,9 @@ def max_subblock_length(ch: Channel, composition_shape, demand: float,
         probs = composition_shape.probabilities()
     else:
         probs = np.asarray(composition_shape, dtype=float).ravel()
-        if probs.size != ch.input_size or probs.min() < 0.0 or abs(probs.sum() - 1.0) > 1e-9:
-            raise DomainError("composition shape must be a distribution over the inputs")
+        if probs.size != ch.input_size or not np.isfinite(probs).all() \
+                or probs.min() < 0.0 or abs(probs.sum() - 1.0) > 1e-9:
+            raise DomainError("composition shape must be a finite distribution over the inputs")
     low = _low_energy_mask(ch, demand)
     denom = math.fsum(
         2.0 * probs[x] * (demand - ch.energy[x])

@@ -28,7 +28,7 @@ from itertools import compress
 import numpy as np
 
 from .channel import (Channel, as_distribution, divergence_conditional,
-                      mutual_information, mutual_information_matrix)
+                      information_stack, mutual_information_matrix)
 from .errors import DomainError, InfiniteExponent, NoConvergence
 from .typeclass import Composition, rate_loss
 
@@ -93,23 +93,6 @@ def _tilt_rows(wpow: np.ndarray, pv: np.ndarray, tilts: list[float], w: np.ndarr
     return v
 
 
-def _information(p: np.ndarray, v: np.ndarray, pv: np.ndarray) -> list[float]:
-    """I(P, V[i]) in bits for each channel of the stack ``v``, with ``pv`` =
-    p @ v: the terms of :func:`mutual_information_matrix` for every member in
-    one array, summed by one ``math.fsum`` per member and entropy, so each
-    rate equals that function's bit for bit."""
-    support = p > 0.0
-    terms = np.where(v > 0.0, v * np.log2(np.where(v > 0.0, v, 1.0)), 0.0)
-    weighted = p[support][:, None] * terms[:, support]
-    rates = []
-    for out, joint in zip(pv.tolist(), weighted.reshape(v.shape[0], -1).tolist()):
-        h_out = -math.fsum(x * math.log2(x) for x in out if x > 0.0)
-        h_cond = -math.fsum(joint)
-        value = h_out - h_cond
-        rates.append(value if value > 0.0 else 0.0)
-    return rates
-
-
 def _tilted_stack(w: np.ndarray, p: np.ndarray, tilts: list[float], tol: float):
     """The fixed points of :func:`tilted_fixed_points` for the nonempty list
     ``tilts`` in [0, 1] and the normalized ``p``: every member's rate, and a
@@ -158,9 +141,8 @@ def _tilted_stack(w: np.ndarray, p: np.ndarray, tilts: list[float], tol: float):
             f"within {FIXED_POINT_MAX_ITER} iterations"
         )
     v = _tilt_rows(wpow, final, tilts, w)
-    pw = np.matmul(p, v)
-    residuals = np.maximum.reduce(np.absolute(pw - final), 1).tolist()
-    rates = _information(p, v, pw)
+    residuals = np.maximum.reduce(np.absolute(np.matmul(p, v) - final), 1).tolist()
+    rates = information_stack(p, v)[1]
 
     def solution(i: int) -> TiltedSolution:
         return TiltedSolution(s=tilts[i], v=v[i], pv=final[i], rate=rates[i],
@@ -171,8 +153,7 @@ def _tilted_stack(w: np.ndarray, p: np.ndarray, tilts: list[float], tol: float):
 
 
 def tilted_fixed_points(ch: Channel, input_dist, tilts,
-                        tol: float = FIXED_POINT_TOL, *,
-                        normalized: bool = False) -> tuple[TiltedSolution, ...]:
+                        tol: float = FIXED_POINT_TOL) -> tuple[TiltedSolution, ...]:
     """Solve the output-marginal fixed point for every tilt of ``tilts``.
 
     All members iterate together in one ``(k, |X|, |Y|)`` array, and each
@@ -181,14 +162,13 @@ def tilted_fixed_points(ch: Channel, input_dist, tilts,
     iterations, else :class:`NoConvergence` names its tilt.  A member's 0.5
     damping engages only if its residuals stop decreasing monotonically over
     three consecutive steps; ``damped`` reports whether it did.  Every value
-    equals that of a solve of the member alone.  ``p`` is
-    ``as_distribution(input_dist)``, or ``input_dist`` itself when
-    ``normalized`` says it is already such an output.
+    equals that of a solve of the member alone, at
+    ``p = as_distribution(input_dist)``.
     """
     s = np.ravel(np.asarray(tilts, dtype=float)).tolist()
     if not all(0.0 <= tilt <= 1.0 for tilt in s):
         raise DomainError("tilt parameter must lie in [0, 1]")
-    p = input_dist if normalized else as_distribution(input_dist, ch.input_size)
+    p = as_distribution(input_dist, ch.input_size)
     if not s:
         return ()
     _, solution = _tilted_stack(ch.w, p, s, tol)
@@ -196,42 +176,19 @@ def tilted_fixed_points(ch: Channel, input_dist, tilts,
 
 
 def tilted_fixed_point(ch: Channel, input_dist, s: float,
-                       tol: float = FIXED_POINT_TOL, *,
-                       normalized: bool = False) -> TiltedSolution:
+                       tol: float = FIXED_POINT_TOL) -> TiltedSolution:
     """The fixed point of :func:`tilted_fixed_points` for the one tilt ``s``."""
-    return tilted_fixed_points(ch, input_dist, [s], tol, normalized=normalized)[0]
+    return tilted_fixed_points(ch, input_dist, [s], tol)[0]
 
 
-def sphere_packing_solutions(ch: Channel, input_dist, rate_targets,
-                             tol: float = 1e-9) -> list[TiltedSolution | None]:
-    """The tilted solutions witnessing E_sp at each rate of ``rate_targets``,
-    all below I(P, W): for each, bisect s in [0, 1] until |I(P, V) - rate| <=
-    tol, or give None where the exponent is infinite, since the rate lies
-    below that of the most-tilted member, s = 1.
-
-    The bisections run in lockstep: each level solves the midpoints of every
-    rate still open in one stacked fixed point, as :func:`tilted_fixed_points`
-    does, and a rate leaves once it is matched.  Each rate's steps are those
-    of its own bisection, so every value equals that of a bisection of the
-    rate alone.  Raises :class:`NoConvergence` if a rate is ever observed
-    outside its current bracket (the family's monotonicity is checked, not
-    assumed) or is not matched within 200 levels.  The fixed points and
-    I(P, W) share one P: ``input_dist`` passed twice through
-    :func:`as_distribution`.  Each pass can move an entry by an ulp, and both
-    are kept, so the values stay bit for bit those of one pass here and one
-    in each fixed point.
-    """
-    targets = [float(rate) for rate in rate_targets]
-    if any(rate <= 0.0 for rate in targets):
-        raise DomainError("rate must be positive")
-    p = as_distribution(as_distribution(input_dist, ch.input_size), ch.input_size)
-    rate_full = mutual_information_matrix(p, ch.w)
-    if any(rate >= rate_full for rate in targets):
-        raise DomainError("target rate is not below I(P, W); the exponent is 0")
+def _bisect(ch: Channel, p: np.ndarray, info: float, targets: list[float],
+            tol: float) -> list[TiltedSolution | None]:
+    """The solutions of :func:`sphere_packing_solutions` at the normalized
+    ``p``, for ``targets`` in (0, ``info``) with ``info`` = I(P, W)."""
     found: list[TiltedSolution | None] = [None] * len(targets)
     if not targets:
         return found
-    top = tilted_fixed_point(ch, p, 1.0, normalized=True)
+    top = tilted_fixed_point(ch, p, 1.0)
     open_ = []
     for i, rate in enumerate(targets):
         # below rate_top - tol every finite-divergence channel in the family
@@ -243,7 +200,7 @@ def sphere_packing_solutions(ch: Channel, input_dist, rate_targets,
         else:
             open_.append(i)
     lo, hi = [0.0] * len(targets), [1.0] * len(targets)
-    rate_lo, rate_hi = [rate_full] * len(targets), [top.rate] * len(targets)
+    rate_lo, rate_hi = [info] * len(targets), [top.rate] * len(targets)
     for _ in range(200):
         if not open_:
             return found
@@ -273,6 +230,32 @@ def sphere_packing_solutions(ch: Channel, input_dist, rate_targets,
     return found
 
 
+def sphere_packing_solutions(ch: Channel, input_dist, rate_targets,
+                             tol: float = 1e-9) -> list[TiltedSolution | None]:
+    """The tilted solutions witnessing E_sp at each rate of ``rate_targets``,
+    all below I(P, W): for each, bisect s in [0, 1] until |I(P, V) - rate| <=
+    tol, or give None where the exponent is infinite, since the rate lies
+    below that of the most-tilted member, s = 1.
+
+    The bisections run in lockstep: each level solves the midpoints of every
+    rate still open in one stacked fixed point, as :func:`tilted_fixed_points`
+    does, and a rate leaves once it is matched.  Each rate's steps are those
+    of its own bisection, so every value equals that of a bisection of the
+    rate alone.  Raises :class:`NoConvergence` if a rate is ever observed
+    outside its current bracket (the family's monotonicity is checked, not
+    assumed) or is not matched within 200 levels.  I(P, W) and every fixed
+    point see one P, ``as_distribution(input_dist)``.
+    """
+    targets = [float(rate) for rate in rate_targets]
+    if any(rate <= 0.0 for rate in targets):
+        raise DomainError("rate must be positive")
+    p = as_distribution(input_dist, ch.input_size)
+    info = mutual_information_matrix(p, ch.w)
+    if any(rate >= info for rate in targets):
+        raise DomainError("target rate is not below I(P, W); the exponent is 0")
+    return _bisect(ch, p, info, targets, tol)
+
+
 def sphere_packing_solution(ch: Channel, input_dist, rate_target: float,
                             tol: float = 1e-9) -> TiltedSolution:
     """The tilted solution witnessing E_sp at ``rate_target`` < I(P, W), from
@@ -287,31 +270,27 @@ def sphere_packing_solution(ch: Channel, input_dist, rate_target: float,
     return sol
 
 
-def _sphere_packing_values(ch: Channel, input_dist, rates, tol: float) -> list[float]:
-    """E_sp in bits at each rate: 0 for R >= I(P, W), +inf where no channel
-    with finite divergence meets the rate, else the divergence witnessed by
-    one :func:`sphere_packing_solutions` call over the remaining rates."""
+def _sphere_packing_values(ch: Channel, p: np.ndarray, rates: list[float],
+                           tol: float) -> list[float]:
+    """E_sp in bits at each rate, for the normalized ``p``: 0 for R >=
+    I(P, W), +inf where no channel with finite divergence meets the rate,
+    else the divergence witnessed by one lockstep bisection over the
+    remaining rates.  The zero test and the bisection share one I(P, W)."""
     if any(rate <= 0.0 for rate in rates):
         raise DomainError("rate must be positive")
-    p = as_distribution(input_dist, ch.input_size)
-    info = mutual_information(p, ch)
-    solutions = iter(sphere_packing_solutions(
-        ch, p, [rate for rate in rates if not rate >= info], tol))
-    values = []
-    for rate in rates:
-        if rate >= info:
-            values.append(0.0)
-        else:
-            sol = next(solutions)
-            values.append(math.inf if sol is None else sol.divergence)
-    return values
+    info = mutual_information_matrix(p, ch.w)
+    found = iter(_bisect(ch, p, info, [rate for rate in rates if not rate >= info], tol))
+    # the bisection gives None where the exponent is infinite
+    return [0.0 if rate >= info else getattr(next(found), "divergence", math.inf)
+            for rate in rates]
 
 
 def sphere_packing(ch: Channel, input_dist, rate: float, tol: float = 1e-9) -> float:
     """E_sp(R, P, W) in bits: 0 for R >= I(P, W), +inf when no channel with
     finite divergence meets the rate constraint, else the witnessed minimum
-    divergence."""
-    return _sphere_packing_values(ch, input_dist, [rate], tol)[0]
+    divergence.  I(P, W) is evaluated once."""
+    return _sphere_packing_values(ch, as_distribution(input_dist, ch.input_size),
+                                  [rate], tol)[0]
 
 
 def critical_rate(ch: Channel, input_dist) -> TiltedSolution:
@@ -320,13 +299,12 @@ def critical_rate(ch: Channel, input_dist) -> TiltedSolution:
     return tilted_fixed_point(ch, input_dist, 0.5)
 
 
-def random_coding(ch: Channel, input_dist, rate: float, tol: float = 1e-9,
-                  critical: TiltedSolution | None = None) -> float:
+def random_coding(ch: Channel, input_dist, rate: float, tol: float = 1e-9) -> float:
     """E_r(R, P, W) in bits: equals E_sp above the critical rate and follows
     the slope -1 supporting line below it."""
     if rate <= 0.0:
         raise DomainError("rate must be positive")
-    crit = critical or critical_rate(ch, input_dist)
+    crit = critical_rate(ch, input_dist)
     if rate >= crit.rate:
         return sphere_packing(ch, input_dist, rate, tol)
     return crit.divergence + crit.rate - rate
@@ -334,11 +312,13 @@ def random_coding(ch: Channel, input_dist, rate: float, tol: float = 1e-9,
 
 def exponent_curve(ch: Channel, input_dist, rates, tol: float = 1e-9) -> ExponentCurve:
     """Sample (R, E_sp, E_r) on a rate grid, sharing one critical-rate solve
-    and bisecting every rate in lockstep.  A rate <= 0 is rejected before any
-    solve."""
+    and bisecting every rate in lockstep.  The critical rate, the zero test
+    and the bisection see one P, ``as_distribution(input_dist)``.  A rate
+    <= 0 is rejected before any solve."""
     rates = [float(rate) for rate in rates]
-    e_sp_values = _sphere_packing_values(ch, input_dist, rates, tol)
-    crit = critical_rate(ch, input_dist)
+    p = as_distribution(input_dist, ch.input_size)
+    e_sp_values = _sphere_packing_values(ch, p, rates, tol)
+    crit = critical_rate(ch, p)
     points = []
     for rate, e_sp in zip(rates, e_sp_values):
         e_r = e_sp if rate >= crit.rate else crit.divergence + crit.rate - rate

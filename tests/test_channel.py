@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subblock import (AbsoluteContinuityViolation, Channel, DomainError,
                       as_distribution, conditional_entropy,
@@ -122,3 +124,29 @@ def test_distribution_validation():
     assert np.allclose(py, [0.5, 0.5])
     assert abs(conditional_entropy(Channel.bsc(0.1), [0.5, 0.5])
                - (-(0.1 * math.log2(0.1) + 0.9 * math.log2(0.9)))) < 1e-15
+
+
+def test_distribution_rejects_non_finite_entries():
+    for bad in ([math.nan, 1.0], [math.inf, 0.0], [0.5, -math.inf, 0.5]):
+        with pytest.raises(DomainError, match="finite"):
+            as_distribution(bad)
+    with pytest.raises(DomainError, match="finite"):
+        mutual_information([math.nan, 0.5], Channel.bsc(0.1))
+    with pytest.raises(DomainError, match=r"sums to 1\.1, not 1$"):
+        as_distribution([0.5, 0.6])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8)
+       .filter(lambda x: sum(x) > 0.0))
+def test_as_distribution_is_idempotent(weights):
+    once = as_distribution(np.array(weights) / np.sum(weights))
+    assert as_distribution(once).tobytes() == once.tobytes()
+
+
+def test_channel_rows_are_normalized_once():
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        shape = tuple(rng.integers(2, 5, size=2))
+        ch = Channel(rng.dirichlet(np.ones(shape[1]), shape[0]), rng.random(shape[0]))
+        assert Channel(ch.w, ch.energy).w.tobytes() == ch.w.tobytes()

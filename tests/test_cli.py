@@ -235,6 +235,16 @@ def test_exit_code_invalid_input(command, capsys):
     assert not captured.out
 
 
+@pytest.mark.parametrize("command", [
+    "exponent --channel bsc:0.1 --P nan,1 --r-values 0.1",
+    "cscc-capacity --channel bsc:0.01 --emax-values 1:2:0.5 --B 0.5 --p-dist nan,1",
+])
+def test_exit_code_non_finite_distribution(command, capsys):
+    assert main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ") and "finite" in captured.err
+
+
 def test_exit_code_missing_sweep_argument():
     result = run_cli(["secc", "--channel", "bsc:0.1", "--L", "2"])
     assert result.returncode == 2

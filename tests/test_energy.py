@@ -79,6 +79,12 @@ def test_max_subblock_length_examples():
         max_subblock_length(BINARY, [0.7, 0.7], 0.5, 4.0)
 
 
+def test_max_subblock_length_rejects_a_non_finite_shape():
+    for shape in ([np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(DomainError, match="finite"):
+            max_subblock_length(BINARY, shape, 0.5, 4.0, require_integral=True)
+
+
 def test_max_subblock_length_integral_option():
     # floor gives 8 for the balanced shape; requiring integral counts keeps 8,
     # an uneven shape steps down to a realizable length

@@ -121,16 +121,16 @@ def test_random_coding_branches_and_continuity():
     crit = critical_rate(ch, UNIFORM)
     assert 0.0 < crit.rate < mutual_information(UNIFORM, ch)
     above = crit.rate + 0.05
-    assert abs(random_coding(ch, UNIFORM, above, critical=crit)
+    assert abs(random_coding(ch, UNIFORM, above)
                - sphere_packing(ch, UNIFORM, above, tol=1e-10)) <= 1e-9
     below = crit.rate / 2
-    assert abs(random_coding(ch, UNIFORM, below, critical=crit)
+    assert abs(random_coding(ch, UNIFORM, below)
                - (crit.divergence + crit.rate - below)) < 1e-12
     # continuity at the knee
     assert abs(sphere_packing(ch, UNIFORM, crit.rate, tol=1e-10)
                - crit.divergence) <= 1e-9
     # straight-line intercept at rate -> 0
-    tiny = random_coding(ch, UNIFORM, 1e-12, critical=crit)
+    tiny = random_coding(ch, UNIFORM, 1e-12)
     assert abs(tiny - (crit.divergence + crit.rate)) < 1e-9
 
 
@@ -186,6 +186,30 @@ def test_exponent_curve_makes_one_stacked_solve_per_bisection_level(monkeypatch)
     exponent_curve(ch, UNIFORM, rates)
     # the critical rate, the s = 1 solve, then one solve per level of the deepest rate
     assert len(calls) == 2 + depth
+
+
+def test_one_curve_sees_one_p_and_one_mutual_information(monkeypatch):
+    # this P sums to an ulp below 1; every solve and I(P, W) must see it as is
+    ch = Channel([[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.05, 0.25, 0.7]], (0.0, 0.5, 1.0))
+    seen, info_calls = set(), []
+    solve, info = subblock.exponent._tilted_stack, subblock.exponent.mutual_information_matrix
+
+    def recording_solve(w, p, tilts, tol):
+        seen.add(p.tobytes())
+        return solve(w, p, tilts, tol)
+
+    def recording_info(p, w):
+        seen.add(p.tobytes())
+        info_calls.append(1)
+        return info(p, w)
+
+    monkeypatch.setattr(subblock.exponent, "_tilted_stack", recording_solve)
+    monkeypatch.setattr(subblock.exponent, "mutual_information_matrix", recording_info)
+    exponent_curve(ch, [0.7, 0.2, 0.1], [0.01, 0.1, 0.2, 0.9])
+    assert len(seen) == 1 and len(info_calls) == 1
+    info_calls.clear()
+    sphere_packing(ch, [0.7, 0.2, 0.1], 0.1)
+    assert len(seen) == 1 and len(info_calls) == 1
 
 
 def test_cscc_error_bound_branches():

@@ -120,7 +120,7 @@ TILTED_CASES = [
     (Channel.z(0.3), [0.3, 0.7], 0.9),
     (Channel.bec(0.3), [0.5, 0.5], 0.99),      # damped
     (Channel.noiseless(3), [0.2, 0.5, 0.3], 1.0),
-    # each as_distribution pass moves this P by an ulp
+    # this P sums to an ulp below 1, so as_distribution keeps it as given
     (TERNARY, [0.7, 0.2, 0.1], 0.5),
 ]
 
@@ -132,6 +132,15 @@ def test_tilted_fixed_point_matches_reference_loop(ch, p, s):
     assert np.array_equal(sol.v, ref["v"]) and np.array_equal(sol.pv, ref["pv"])
     assert (sol.rate, sol.divergence, sol.iterations, sol.residual, sol.damped) == \
         (ref["rate"], ref["divergence"], ref["iterations"], ref["residual"], ref["damped"])
+
+
+def test_tilted_fixed_point_is_unchanged_by_a_normalized_input():
+    p = [0.7, 0.2, 0.1]
+    sol = tilted_fixed_point(TERNARY, as_distribution(p), 0.5)
+    ref = tilted_fixed_point(TERNARY, p, 0.5)
+    assert np.array_equal(sol.v, ref.v) and np.array_equal(sol.pv, ref.pv)
+    assert (sol.rate, sol.divergence, sol.iterations, sol.residual, sol.damped) == \
+        (ref.rate, ref.divergence, ref.iterations, ref.residual, ref.damped)
 
 
 STACKED_TILTS = [s for _, _, s in TILTED_CASES]
