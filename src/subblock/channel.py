@@ -24,6 +24,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _finite(name: str, *arrays: np.ndarray) -> None:
+    """Raise :class:`DomainError` if an entry of ``arrays`` is NaN or infinite:
+    the ``> 0`` filters of the information sums would pass or drop it
+    silently."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DomainError(f"{name} entries must be finite")
+
+
 def _normalized(a: np.ndarray, name: str) -> np.ndarray:
     """The nonnegative ``a``, read-only, with each vector along its last axis
     kept as given if its sum is within 2n ulps of 1 (n its length), else
@@ -48,8 +56,7 @@ def as_distribution(p, size: int | None = None) -> np.ndarray:
     q = np.asarray(p, dtype=float).ravel()
     if size is not None and q.size != size:
         raise DomainError(f"distribution has length {q.size}, expected {size}")
-    if not np.isfinite(q).all():
-        raise DomainError("distribution entries must be finite")
+    _finite("distribution", q)
     if q.min(initial=0.0) < -PROB_TOL:
         raise DomainError("distribution has a negative entry")
     return _normalized(np.maximum(q, 0.0), "distribution")
@@ -183,6 +190,7 @@ class Channel:
 def entropy(p) -> float:
     """Shannon entropy in bits, with 0*log(0) = 0."""
     q = np.asarray(p, dtype=float).ravel()
+    _finite("distribution", q)
     return -math.fsum(x * math.log2(x) for x in q if x > 0.0)
 
 
@@ -234,6 +242,7 @@ def divergence(p, q) -> float:
     b = np.asarray(q, dtype=float).ravel()
     if a.shape != b.shape:
         raise DomainError("distributions must have the same length")
+    _finite("distribution", a, b)
     if np.any((a > 0.0) & (b <= 0.0)):
         raise AbsoluteContinuityViolation("p places mass where q is zero")
     return math.fsum(x * math.log2(x / y) for x, y in zip(a, b) if x > 0.0)
@@ -252,6 +261,7 @@ def divergence_conditional(v, w, p) -> float:
     q = np.asarray(p, dtype=float).ravel()
     if q.size != v.shape[0]:
         raise DomainError("p must have one entry per input row")
+    _finite("channel and distribution", v, w, q)
     support = q > 0.0
     if np.any((v[support] > 0.0) & (w[support] <= 0.0)):
         raise AbsoluteContinuityViolation(

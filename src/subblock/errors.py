@@ -30,7 +30,7 @@ class DegenerateComposition(DomainError):
     """Operation undefined for a composition supported on a single symbol."""
 
 
-class DegenerateSplit(SubblockError):
+class DegenerateSplit(DomainError):
     """Adversarial construction needs symbols on both sides of the threshold."""
 
 

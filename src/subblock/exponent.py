@@ -7,22 +7,23 @@ is found by fixed-point iteration; s is found by bisection on the rate, which
 is monotone non-increasing along the family (asserted at every step, never
 assumed silently).
 
-The fixed point takes a stack of tilts and iterates them in one array, each
-member with its own stopping rule and damping.  The rates of a curve are
-bisected in lockstep: one stacked solve per bisection level serves every
-rate still open, so a curve costs about 30 stacked solves rather than one
-scalar solve per step of every rate.  Each member's arithmetic is that of a
-solve of its tilt alone, so every value equals that of one bisection per
-rate bit for bit.  ``tilted_fixed_point``, ``sphere_packing_solution`` and
-``sphere_packing`` are the one-tilt and one-rate calls of the same two
-routines.
+The fixed-point step pv <- p @ V(pv) is Arimoto's alternating maximization
+of the concave f(q) = sum_x p_x log sum_y w(y|x)^(1-s) q_y^s: by Jensen each
+step raises f by at least s * D(p @ V(q) || q) >= 0, so it runs undamped.
+It takes a stack of tilts and iterates them in one array, each member with
+its own stopping rule.  The rates of a curve are bisected in lockstep: one
+stacked solve per bisection level serves every rate still open, so a curve
+costs about 30 stacked solves rather than one scalar solve per step of every
+rate.  Each member's arithmetic is that of a solve of its tilt alone, so
+every value equals that of one bisection per rate bit for bit.
+``tilted_fixed_point``, ``sphere_packing_solution`` and ``sphere_packing``
+are the one-tilt and one-rate calls of the same two routines.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -40,25 +41,16 @@ FIXED_POINT_MAX_ITER = 100_000
 @dataclass(frozen=True)
 class TiltedSolution:
     """One point of the tilted family: tilt s, channel v, output marginal pv,
-    its rate I(P, V) in bits, the fixed-point iterations and residual
-    max |p @ v - pv|, and whether the 0.5 damping engaged.  The divergence
-    D(V || W | P) in bits is computed on first use, from the reference
-    channel ``w`` and input distribution ``p`` kept for it, since a bisection
-    step reads only the rate."""
+    its rate I(P, V) and divergence D(V || W | P) in bits, and the
+    fixed-point iterations and residual max |p @ v - pv|."""
 
     s: float
     v: np.ndarray
     pv: np.ndarray
     rate: float
+    divergence: float
     iterations: int
     residual: float
-    damped: bool
-    w: np.ndarray = field(repr=False)
-    p: np.ndarray = field(repr=False)
-
-    @cached_property
-    def divergence(self) -> float:
-        return divergence_conditional(self.v, self.w, self.p)
 
 
 @dataclass(frozen=True)
@@ -97,7 +89,7 @@ def _tilted_stack(w: np.ndarray, p: np.ndarray, tilts: list[float], tol: float):
     """The fixed points of :func:`tilted_fixed_points` for the nonempty list
     ``tilts`` in [0, 1] and the normalized ``p``: every member's rate, and a
     function that builds member ``i``'s :class:`TiltedSolution`, so that a
-    bisection level builds only the solutions it keeps."""
+    bisection level computes the divergence only of the solutions it keeps."""
     k = len(tilts)
     positive = w > 0.0
     dense = positive.all()
@@ -108,33 +100,24 @@ def _tilted_stack(w: np.ndarray, p: np.ndarray, tilts: list[float], tol: float):
     if not dense:
         wpow[:, ~positive] = 0.0
     final = np.empty((k, w.shape[1]))
-    iterations, was_damped = [0] * k, [False] * k
+    iterations = [0] * k
     members = list(range(k))
     pv = np.repeat((p @ w)[None, :], k, 0)
     run_wpow, run_tilts, v = wpow, tilts, np.empty_like(wpow)
-    damped = np.zeros(k, dtype=bool)
-    before = last = np.full(k, np.nan)
     for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
         pv_next = np.matmul(p, _tilt_rows(run_wpow, pv, run_tilts, w, v))
-        residual = np.maximum.reduce(np.absolute(pv_next - pv), 1)
-        done = residual <= tol
+        done = np.maximum.reduce(np.absolute(pv_next - pv), 1) <= tol
         if done.any():
             for j in np.flatnonzero(done).tolist():
                 final[members[j]] = pv_next[j]
-                iterations[members[j]], was_damped[members[j]] = iteration, bool(damped[j])
+                iterations[members[j]] = iteration
             if done.all():
                 break
             keep = ~done
             members = list(compress(members, keep.tolist()))
             run_tilts = list(compress(run_tilts, keep.tolist()))
-            pv, pv_next, residual = pv[keep], pv_next[keep], residual[keep]
-            run_wpow, v = run_wpow[keep], v[keep]
-            damped, before, last = damped[keep], before[keep], last[keep]
-        if iteration >= 3:
-            damped |= ~((before > last) & (last > residual))
-        before, last = last, residual
-        pv = np.where(damped[:, None], 0.5 * (pv + pv_next), pv_next) if damped.any() \
-            else pv_next
+            pv_next, run_wpow, v = pv_next[keep], run_wpow[keep], v[keep]
+        pv = pv_next
     else:
         raise NoConvergence(
             f"tilted fixed point did not converge at s={run_tilts[0]} "
@@ -146,8 +129,8 @@ def _tilted_stack(w: np.ndarray, p: np.ndarray, tilts: list[float], tol: float):
 
     def solution(i: int) -> TiltedSolution:
         return TiltedSolution(s=tilts[i], v=v[i], pv=final[i], rate=rates[i],
-                              iterations=iterations[i], residual=residuals[i],
-                              damped=was_damped[i], w=w, p=p)
+                              divergence=divergence_conditional(v[i], w, p),
+                              iterations=iterations[i], residual=residuals[i])
 
     return rates, solution
 
@@ -159,10 +142,9 @@ def tilted_fixed_points(ch: Channel, input_dist, tilts,
     All members iterate together in one ``(k, |X|, |Y|)`` array, and each
     keeps its own iteration: pv <- p @ V(pv) from pv = PW until its max-abs
     change drops below ``tol``, for at most ``FIXED_POINT_MAX_ITER``
-    iterations, else :class:`NoConvergence` names its tilt.  A member's 0.5
-    damping engages only if its residuals stop decreasing monotonically over
-    three consecutive steps; ``damped`` reports whether it did.  Every value
-    equals that of a solve of the member alone, at
+    iterations, else :class:`NoConvergence` names its tilt.  The step is
+    Arimoto's ascent of a concave function, so it needs no damping.  Every
+    value equals that of a solve of the member alone, at
     ``p = as_distribution(input_dist)``.
     """
     s = np.ravel(np.asarray(tilts, dtype=float)).tolist()

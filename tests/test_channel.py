@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subblock import (AbsoluteContinuityViolation, Channel, DomainError,
-                      as_distribution, conditional_entropy,
+                      as_distribution, conditional_entropy, divergence,
                       divergence_conditional, entropy, mutual_information,
                       output_distribution)
 
@@ -134,6 +134,29 @@ def test_distribution_rejects_non_finite_entries():
         mutual_information([math.nan, 0.5], Channel.bsc(0.1))
     with pytest.raises(DomainError, match=r"sums to 1\.1, not 1$"):
         as_distribution([0.5, 0.6])
+
+
+def test_entropy_rejects_non_finite_entries():
+    # a NaN fails the ``x > 0`` filter and an inf gives -inf: neither may pass
+    for bad in ([math.nan, 1.0], [math.inf, 1.0], [0.5, -math.inf]):
+        with pytest.raises(DomainError, match="finite"):
+            entropy(bad)
+
+
+def test_divergence_rejects_non_finite_entries():
+    for p, q in (([math.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [math.nan, 1.0]),
+                 ([0.5, 0.5], [math.inf, 0.5])):
+        with pytest.raises(DomainError, match="finite"):
+            divergence(p, q)
+
+
+def test_divergence_conditional_rejects_non_finite_entries():
+    w = np.array([[0.1, 0.9], [0.4, 0.6]])
+    v = np.array([[0.2, 0.8], [math.nan, 0.6]])
+    for args in ((v, w, [0.3, 0.7]), (w, v, [0.3, 0.7]), (w, w, [math.nan, 1.0]),
+                 (w, np.array([[0.1, 0.9], [math.inf, 0.6]]), [0.3, 0.7])):
+        with pytest.raises(DomainError, match="finite"):
+            divergence_conditional(*args)
 
 
 @settings(max_examples=300, deadline=None)

@@ -223,6 +223,8 @@ INVALID_COMMANDS = [
     "energy-sim --b 0,1 --B nan --emax 4 --L 9",
     # a negative demand would charge the buffer
     "energy-sim --channel builtin --b 0,1 --B -1 --emax 4 --L 9",
+    # an adversarial codeword needs symbols on both sides of the demand
+    "energy-sim --channel builtin --b 0,1 --B 0.5 --emax 4 --L 4 --P 4,0 --adversarial",
 ]
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subblock
 from subblock import (Channel, Composition, DomainError, InfiniteExponent,
@@ -9,7 +11,7 @@ from subblock import (Channel, Composition, DomainError, InfiniteExponent,
                       cscc_exponent_lower_bound, exponent_curve,
                       mutual_information, random_coding, rate_loss,
                       sphere_packing, sphere_packing_solution,
-                      tilted_fixed_point)
+                      tilted_fixed_point, tilted_fixed_points)
 from subblock.oracle import grid_oracle_esp_bsc
 
 UNIFORM = np.array([0.5, 0.5])
@@ -96,12 +98,83 @@ def test_infinite_exponent_is_its_own_exported_error():
     assert "InfiniteExponent" in subblock.__all__
 
 
-def test_fixed_point_reports_damping():
-    # near s = 1 the BEC's residuals stop falling monotonically
-    damped = tilted_fixed_point(Channel.bec(0.3), UNIFORM, 0.99)
-    assert damped.damped and damped.residual <= 1e-12
-    plain = tilted_fixed_point(Channel.z(0.3), UNIFORM, 0.99)
-    assert not plain.damped and plain.residual <= 1e-12
+def test_fixed_point_converges_undamped_near_full_tilt():
+    # near s = 1 the BEC's residual rises at step 2; the plain step still
+    # ascends, and ends within the tolerance of a much finer solve
+    bec = tilted_fixed_point(Channel.bec(0.3), UNIFORM, 0.99)
+    assert bec.residual <= 1e-12 and bec.iterations <= 60
+    fine = tilted_fixed_point(Channel.bec(0.3), UNIFORM, 0.99, tol=1e-14)
+    assert abs(bec.rate - fine.rate) <= 1e-10
+    assert abs(bec.divergence - fine.divergence) <= 1e-10
+    assert tilted_fixed_point(Channel.z(0.3), UNIFORM, 0.99).residual <= 1e-12
+
+
+CERTIFIED_TILTS = [0.3, 0.9, 0.99, 1.0]
+TERNARY = Channel([[0.8, 0.15, 0.05],
+                   [0.1, 0.7, 0.2],
+                   [0.05, 0.25, 0.7]], (0.0, 0.5, 1.0))
+DENSE = Channel(np.array([[4.0, 1.0, 2.0, 3.0, 1.0, 5.0],
+                          [1.0, 6.0, 1.0, 1.0, 2.0, 1.0],
+                          [2.0, 2.0, 7.0, 1.0, 1.0, 3.0],
+                          [1.0, 1.0, 1.0, 5.0, 6.0, 2.0]]) / [[16.0], [12.0], [16.0], [16.0]],
+                (0.0, 1.0, 2.0, 3.0))
+
+
+def arimoto_objective(w, p, s, q):
+    """f(q) = sum_x p_x ln sum_y w(y|x)^(1-s) q_y^s, the concave function
+    whose maximizer over the simplex is the tilted fixed point's marginal."""
+    support = p > 0.0
+    w = w[support]
+    positive = w > 0.0
+    wpow = np.where(positive, np.power(np.where(positive, w, 1.0), 1.0 - s), 0.0)
+    with np.errstate(divide="ignore"):
+        return float(p[support] @ np.log(wpow @ np.power(q, s)))
+
+
+def assert_fixed_points_maximize_the_objective(ch, p, seed=0):
+    """The certificate f(pv) >= f(q) for q = PW, the uniform q and 20 random
+    points of the simplex, at each tilt: it holds at the maximizer alone,
+    whatever iteration found it, and fails at a fixed point stuck on the
+    boundary of the simplex."""
+    p = np.asarray(p, dtype=float)
+    rng = np.random.default_rng(seed)
+    points = [p @ ch.w, np.full(ch.output_size, 1.0 / ch.output_size),
+              *rng.dirichlet(np.ones(ch.output_size), 20)]
+    for sol in tilted_fixed_points(ch, p, CERTIFIED_TILTS):
+        best = arimoto_objective(ch.w, p, sol.s, sol.pv)
+        for q in points:
+            assert best >= arimoto_objective(ch.w, p, sol.s, q) - 1e-12
+
+
+@pytest.mark.parametrize("ch, p", [
+    (Channel.bec(0.3), UNIFORM),
+    (Channel.z(0.3), UNIFORM),
+    (TERNARY, [0.7, 0.2, 0.1]),
+    (DENSE, [0.1, 0.2, 0.3, 0.4]),
+    (Channel.noiseless(3), [0.2, 0.5, 0.3]),
+], ids=["bec", "z", "ternary", "dense", "noiseless"])
+def test_fixed_point_maximizes_the_arimoto_objective(ch, p):
+    assert_fixed_points_maximize_the_objective(ch, p)
+
+
+@st.composite
+def channels_with_zeros(draw):
+    """A 2-5 x 2-6 channel with zero entries and an input distribution with a
+    zero weight."""
+    inputs, outputs = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    w = np.array([draw(st.lists(entry, min_size=outputs, max_size=outputs))
+                  for _ in range(inputs)])
+    w[w.sum(axis=1) == 0.0, 0] = 1.0
+    p = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=inputs, max_size=inputs)))
+    p[draw(st.integers(0, inputs - 1))] = 0.0
+    return Channel(w / w.sum(axis=1, keepdims=True), np.zeros(inputs)), p / p.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=channels_with_zeros(), seed=st.integers(0, 2**32 - 1))
+def test_fixed_point_maximizes_the_arimoto_objective_with_zeros(instance, seed):
+    assert_fixed_points_maximize_the_objective(*instance, seed)
 
 
 def test_sphere_packing_convex_and_positive():
