@@ -16,7 +16,6 @@ P(y_Q) kernel bit for bit, live in :mod:`subblock.oracle`.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ RATE_TIE_TOL = 1e-12
 NEWTON_MAX_STEPS = 500     # steps of one barrier Newton solve
 LN2 = math.log(2.0)
 _CHUNK = 1 << 16          # sequences summed per chunk
-_SLICE = 1 << 14          # (matrix, row) pairs a walk holds per depth
+_SLICE = 1 << 14          # (matrix, row) pairs a walk holds per level
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,10 @@ def class_laws(a, compositions, length: int) -> tuple[np.ndarray, np.ndarray]:
     chunks' ``math.fsum`` of the products over their rows x, divided by
     |T_P|.  The matrices of the stack are walked in slices of at most
     ``max(1, _SLICE // rows)`` matrices, ``rows`` being a chunk's row count,
-    so a slice's buffer holds at most ``L * _SLICE`` floats unless one chunk
-    alone has more rows.  Within a chunk and slice, :func:`_chunk_sums` walks
-    the representatives as a prefix tree, so the partial product of a prefix
+    so a slice's buffer holds at most ``(min(|Y|, L) + 1) * _SLICE`` floats,
+    one row per level of the walk and a scratch row, unless one chunk alone
+    has more rows.  Within a chunk and slice, :func:`_chunk_sums` walks the
+    representatives as a prefix tree, so the partial product of a prefix
     shared by several y_Q is computed once, and drops a row x once its
     partial product is exactly zero in every matrix of the slice, which
     zeros of ``a`` make it.  Both leave the values bit for bit what a
@@ -133,19 +133,41 @@ def class_laws(a, compositions, length: int) -> tuple[np.ndarray, np.ndarray]:
     return sizes, laws
 
 
-def _prefix_plan(otypes) -> list[tuple[int, int, list[int]]]:
-    """The walk of :func:`_chunk_sums`: one ``(j, start, ends)`` per output
-    type, in lexicographic order of the representatives (the reverse of
-    :func:`enumerate_compositions` order), where ``ends[y] = q_0 + ... + q_y``
-    is the depth at which y_Q moves past symbol y and ``start`` the length of
-    the prefix y_Q shares with the representative before it; two
-    representatives agree up to the first end at which they differ."""
-    plan, previous = [], []
-    for j in range(len(otypes) - 1, -1, -1):
-        ends = list(itertools.accumulate(otypes[j].counts))
-        start = min((min(a, b) for a, b in zip(previous, ends) if a != b), default=0)
-        plan.append((j, start, ends))
-        previous = ends
+def _prefix_plan(otypes) -> list[tuple[int, int, int, int, int, int]]:
+    """The walk of :func:`_chunk_sums`: the prefix tree of the
+    representatives as runs ``(parent, level, first, stop, y, j)``, in
+    visiting order.  A run's nodes take symbol ``y`` at depths ``first`` to
+    ``stop - 1`` on ``level``; the first extends the products on level
+    ``parent`` (-1: the root), each later one the node before it, and
+    ``j >= 0`` is the output type, in :func:`enumerate_compositions` order,
+    whose leaf ends the run.
+
+    A node's children with a higher symbol go one level up and come first,
+    in ascending order; the child that repeats its symbol comes last, on the
+    node's own level.  So a level is overwritten only once every node that
+    reads it is done, and no level holds a symbol below its index, so
+    ``min(|Y|, L)`` levels suffice.  Below the top symbol a run is one node;
+    on the top symbol it goes straight to the leaf.  The stack holds
+    ``(parent, level, depth, y, counts)``, ``counts`` those of the symbols
+    below ``y``."""
+    top, length = otypes[0].alphabet_size - 1, otypes[0].length
+    index = {q.counts: j for j, q in enumerate(otypes)}
+    plan = []
+    stack = [(-1, 0, 0, y, (0,) * y) for y in range(top, -1, -1)]
+    while stack:
+        parent, level, depth, y, counts = stack.pop()
+        if y == top:            # no switch children: straight to the leaf
+            plan.append((parent, level, depth, length, y, index[counts + (length - depth,)]))
+            continue
+        run = depth - sum(counts) + 1                   # of y, through depth
+        if depth == length - 1:
+            plan.append((parent, level, depth, length, y,
+                         index[counts + (run,) + (0,) * (top - y)]))
+        else:
+            plan.append((parent, level, depth, depth + 1, y, -1))
+            stack.append((level, level, depth + 1, y, counts))
+            stack.extend((level, level + 1, depth + 1, z, counts + (run,) + (0,) * (z - y - 1))
+                         for z in range(top, y, -1))
     return plan
 
 
@@ -154,58 +176,70 @@ def _chunk_sums(part: np.ndarray, block: np.ndarray, plan) -> np.ndarray:
     a_m(x_0, y_0) * ... * a_m(x_{L-1}, y_{L-1}) for each matrix a_m of the
     slice ``part`` and each output type j of ``plan``.
 
-    Row d of one (L, rows, matrices) buffer holds the partial products
-    through depth d, and only the rows past the prefix a representative
-    shares with the one before it are recomputed, each from one gather of
-    a_m(x_d, y_d) for every row and matrix and one multiply in place.  The
+    Row l of one (min(|Y|, L) + 1, rows, matrices) buffer holds the partial
+    products of the node last visited on level l, and the last row is
+    scratch.  Each tree node is computed once, in :func:`_prefix_plan`
+    order, from one gather of a_m(x_d, y_d) for every row and matrix and one
+    multiply in place: a node one level above its parent gathers into its
+    level's row and multiplies it by the parent's; a node on its parent's
+    level gathers into the scratch row and multiplies the level's row by
+    it.  Either way the product is the parent's times the new letter.  The
     walk is a loop rather than a recursion, so a class of length 1000 needs
-    no deep stack, and the gather writes into the buffer, so no level keeps
-    a temporary of its own.
+    no deep stack.
 
-    A row whose partial product is 0 stays 0, so after a depth whose column
+    A row whose partial product is 0 stays 0, so after a node whose column
     a(., y_d) has a zero in some matrix, the rows still nonzero in any matrix
-    are moved to the front of buffer row d and their indices kept (int32, as
-    rows <= ``_CHUNK``).  The depths below, and every representative that
-    shares the prefix, gather and multiply only those rows, and the sum runs
-    over them alone.  Columns without a zero are never checked, so a slice
-    without zeros takes the walk as it was."""
+    are moved to the front of its level's row and their indices kept (int32,
+    as rows <= ``_CHUNK``), one index array per level.  The nodes below, and
+    so every representative that shares the prefix, gather and multiply only
+    those rows, and the sum runs over them alone.  Columns without a zero
+    are never checked, so a slice without zeros takes the walk as it was."""
     matrices = part.shape[0]
     rows, length = block.shape
+    levels = min(part.shape[2], length)
     columns = list(np.ascontiguousarray(part.transpose(2, 1, 0)))  # columns[y][x, m]
     has_zero = (part == 0.0).any(axis=(0, 1)).tolist()  # has_zero[y]: a(., y) has a zero
     inputs = list(block.T)                      # inputs[d][r] = x_d of row r
-    buffer = list(np.empty((length, rows, matrices)))
-    # partial[d]: the products through depth d of the rows kept[d] (int32
-    # indices; None while no row is dropped), one column per matrix
-    partial: list[np.ndarray | None] = [None] * length
-    kept: list[np.ndarray | None] = [None] * length
-    empty = buffer[0][:0]
-    sums = np.empty((matrices, len(plan)))
+    buffer = list(np.empty((levels + 1, rows, matrices)))
+    scratch = buffer.pop()
+    # partial[l]: the products of the node last visited on level l, over
+    # the rows kept[l] (int32 indices; None while no row is dropped), one
+    # column per matrix
+    partial: list[np.ndarray | None] = [None] * levels
+    kept: list[np.ndarray | None] = [None] * levels
+    empty = scratch[:0]
+    sums = np.empty((matrices, composition_count(part.shape[2], length)))
     multiply = np.multiply                      # a local name: the loop is hot
-    for j, start, ends in plan:
-        for y, end in enumerate(ends):
-            column, prune = columns[y], has_zero[y]
-            for d in range(start, end):
-                alive = kept[d - 1] if d else None
-                if alive is None:
-                    row, symbols = buffer[d], inputs[d]
-                elif alive.size:
-                    row, symbols = buffer[d][:alive.size], inputs[d][alive]
-                else:               # every row dropped: the rest stay empty
-                    partial[d], kept[d] = empty, alive
-                    continue
+    for parent, level, first, stop, y, j in plan:
+        column, prune, own = columns[y], has_zero[y], buffer[level]
+        for d in range(first, stop):
+            alive = kept[parent] if parent >= 0 else None
+            if alive is None:
+                symbols = inputs[d]
+            elif alive.size:
+                symbols = inputs[d][alive]
+            else:                   # every row dropped: the rest stay empty
+                partial[level], kept[level], parent = empty, alive, level
+                continue
+            if parent == level:
+                row = partial[level]
+                gathered = scratch if alive is None else scratch[:alive.size]
+                column.take(symbols, 0, gathered, "clip")
+                multiply(row, gathered, out=row)
+            else:
+                row = own if alive is None else own[:alive.size]
                 column.take(symbols, 0, row, "clip")
-                if d:
-                    multiply(partial[d - 1], row, out=row)
-                if prune:
-                    # with one matrix, the row itself is the mask
-                    nonzero = (row if matrices == 1 else row.any(axis=1)).nonzero()[0]
-                    if nonzero.size < len(row):
-                        row = row.take(nonzero, 0, buffer[d][:nonzero.size])
-                        alive = nonzero.astype(np.int32) if alive is None else alive[nonzero]
-                partial[d], kept[d] = row, alive
-            start = max(start, end)
-        sums[:, j] = [math.fsum(products) for products in partial[length - 1].T]
+                if parent >= 0:
+                    multiply(partial[parent], row, out=row)
+            if prune:
+                # with one matrix, the row itself is the mask
+                nonzero = (row if matrices == 1 else row.any(axis=1)).nonzero()[0]
+                if nonzero.size < len(row):
+                    row = row.take(nonzero, 0, own[:nonzero.size])
+                    alive = nonzero.astype(np.int32) if alive is None else alive[nonzero]
+            partial[level], kept[level], parent = row, alive, level
+        if j >= 0:
+            sums[:, j] = [math.fsum(products) for products in partial[level].T]
     return sums
 
 

@@ -165,6 +165,8 @@ class Channel:
             r, s = int(tokens[0]), int(tokens[1])
         except ValueError as exc:
             raise DomainError("channel description must start with 'r s'") from exc
+        if r < 1 or s < 1:
+            raise DomainError(f"channel dimensions {r} x {s} must be positive")
         need = 2 + r * s + r
         if len(tokens) != need:
             raise DomainError(

@@ -152,6 +152,12 @@ def _tolerance(tol: float) -> float:
     return tol
 
 
+def _demand(demand: float) -> float:
+    if not math.isfinite(demand):
+        raise DomainError(f"--B {demand!r} is not finite")
+    return demand
+
+
 def _require(value, flag: str):
     if value is None:
         raise DomainError(f"missing required sweep argument {flag}")
@@ -159,6 +165,7 @@ def _require(value, flag: str):
 
 
 def cmd_cscc_capacity(args) -> int:
+    _demand(args.B)
     ch = parse_channel(args.channel, args.b)
     if args.emax_values:
         shape = np.array(parse_list(args.p_dist)) \
@@ -209,6 +216,7 @@ def cmd_capacity_power(args) -> int:
 
 
 def cmd_secc(args) -> int:
+    _demand(args.B)
     if args.asymmetry:
         if args.L != 2 or args.B != 0.5 or args.b is not None or args.b_values \
                 or args.channel.lower() != "bsc":

@@ -311,51 +311,79 @@ def test_only_the_kernel_materializes_type_classes():
     assert callers == [("capacity.py", "class_laws")]
 
 
+def trace_walks(monkeypatch):
+    """Record, for each ``_chunk_sums`` call under ``tracemalloc``, the traced
+    memory at its start and the peak the walk adds above it.  The class's
+    own materialization peaks higher than a walk, so the walk is measured
+    on its own."""
+    walks = []
+    chunk_sums = subblock.capacity._chunk_sums
+
+    def traced(part, block, plan):
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sums = chunk_sums(part, block, plan)
+        walks.append((entry, tracemalloc.get_traced_memory()[1] - entry))
+        return sums
+
+    monkeypatch.setattr(subblock.capacity, "_chunk_sums", traced)
+    return walks
+
+
 def test_kernel_holds_one_chunk_block_at_a_time(monkeypatch):
     # 12,870 sequences span four chunks of 4,096
     monkeypatch.setattr(subblock.capacity, "_CHUNK", 4096)
     comp = Composition((8, 8))
     cscc_composition_rate(bsc(0.1), comp)
+    walks = trace_walks(monkeypatch)
     tracemalloc.start()
     try:
         cscc_composition_rate(bsc(0.1), comp)
-        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     sequences = type_class_size(comp) * comp.length      # int8
-    block = 4096 * comp.length * 8                         # float64
-    # the class and one block, with room for the per-chunk products and
-    # index buffers, but not for a second block
-    assert peak < sequences + 1.75 * block
+    # one float64 row per output symbol and a scratch row, not one per depth
+    block = (min(2, comp.length) + 1) * 4096 * 8
+    assert len(walks) == 4
+    # the class and the chunk sums so far, but no block of an earlier chunk
+    assert all(entry < sequences + 0.5 * block for entry, _ in walks)
+    # one block, with room for the gather's index buffer
+    assert all(walk < 1.75 * block for _, walk in walks)
 
 
-def assert_kernel_frees_each_class_and_buffer(ch):
+def assert_kernel_frees_each_class_and_buffer(ch, monkeypatch):
     classes = [Composition((8, 8)), Composition((7, 9))]
     class_laws(ch.w, classes, 16)
+    walks = trace_walks(monkeypatch)
     gc.disable()    # a reference cycle would then keep what it holds
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
         class_laws(ch.w, classes, 16)
-        current, peak = tracemalloc.get_traced_memory()
+        current = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
         gc.enable()
     rows = max(type_class_size(comp) for comp in classes)
     larger_class = rows * 16                              # int8
-    buffer = 16 * rows * 8                                # one (L, rows) float64 buffer
+    # one (min(|Y|, L) + 1, rows) float64 buffer: a row per level and a scratch row
+    buffer = (min(ch.output_size, 16) + 1) * rows * 8
     assert current - baseline < 64 * 1024
-    # a class or a buffer kept alive into the next class would exceed this
-    assert peak - baseline < larger_class + 1.5 * buffer
+    assert len(walks) == 2
+    # a class or a buffer kept alive into the next class would show here
+    assert all(entry - baseline < larger_class + 64 * 1024 for entry, _ in walks)
+    # the buffer, with room for the gather's and the pruning's index arrays,
+    # but not for a row per depth
+    assert all(walk < 2 * buffer for _, walk in walks)
 
 
-def test_kernel_frees_each_class_and_buffer():
-    assert_kernel_frees_each_class_and_buffer(bsc(0.1))
+def test_kernel_frees_each_class_and_buffer(monkeypatch):
+    assert_kernel_frees_each_class_and_buffer(bsc(0.1), monkeypatch)
 
 
 @pytest.mark.parametrize("ch", [Channel.bec(0.3), Channel.z(0.3), Channel.noiseless(2)],
                          ids=["bec", "z", "noiseless"])
-def test_kernel_frees_each_class_and_buffer_on_channels_with_zeros(ch):
+def test_kernel_frees_each_class_and_buffer_on_channels_with_zeros(ch, monkeypatch):
     # the rows a zero drops are compacted into the buffer itself, and only
     # int32 indices of the survivors are kept
-    assert_kernel_frees_each_class_and_buffer(ch)
+    assert_kernel_frees_each_class_and_buffer(ch, monkeypatch)

@@ -113,6 +113,12 @@ def test_channel_text_format():
         Channel.from_text("2 2\n0.9 0.1\n0.1 0.9")  # missing energies
 
 
+@pytest.mark.parametrize("header", ["-1 -1", "0 3", "2 -2"])
+def test_channel_text_rejects_non_positive_dimensions(header):
+    with pytest.raises(DomainError, match="positive"):
+        Channel.from_text(f"{header}\n0.9 0.1\n0.1 0.9\n0 1\n")
+
+
 def test_distribution_validation():
     with pytest.raises(DomainError):
         as_distribution([0.5, 0.6])

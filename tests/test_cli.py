@@ -221,6 +221,9 @@ INVALID_COMMANDS = [
     "capacity-power --channel bsc:0.1 --b nan,1 --b-values 0.5",
     "cscc-capacity --channel bsc:0.1 --b 0,inf --b-values 0.5 --L 4",
     "energy-sim --b 0,1 --B nan --emax 4 --L 9",
+    "cscc-capacity --channel bsc:0.01 --emax-values 1:3:1 --B inf",
+    "cscc-capacity --channel bsc:0.01 --emax-values 1:3:1 --B nan",
+    "secc --channel bsc --L 4 --B nan --p0-values 0.1",
     # a negative demand would charge the buffer
     "energy-sim --channel builtin --b 0,1 --B -1 --emax 4 --L 9",
     # an adversarial codeword needs symbols on both sides of the demand
@@ -392,6 +395,21 @@ def test_channel_file_roundtrip(tmp_path):
     assert result.returncode == 0
     rows = read_csv(out)
     assert float(rows[1][1]) >= float(rows[2][1]) - 1e-9
+
+
+def test_channel_file_with_non_positive_dimensions_is_invalid_input(tmp_path, capsys):
+    spec = tmp_path / "chan.txt"
+    spec.write_text("-1 -1\n0.8 0.2\n0.3 0.7\n0 1\n")
+    assert main(["capacity-power", "--channel", str(spec), "--b-values", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ") and "positive" in captured.err
+
+
+def test_a_finite_demand_too_large_for_any_subblock_leaves_rows_blank(capsys):
+    # every L is 0 at --B 1e300, so no row has a capacity
+    command = "cscc-capacity --channel bsc:0.01 --emax-values 1:3:1 --B 1e300 -o -"
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out.split() == ["e_max,L,cscc_capacity", "1,,", "2,,", "3,,"]
 
 
 def test_main_direct_invocation(capsys):

@@ -206,6 +206,13 @@ KERNEL_CASES = [
     ("ternary-12", TERNARY, 12, [(5, 4, 3)]),
     ("noiseless-6", Channel.noiseless(2), 6, None),
     ("noiseless-16", Channel.noiseless(2), 16, [(8, 8)]),
+    # the root's children are the leaves
+    ("bsc-1", Channel.bsc(0.1), 1, None),
+    ("ternary-1", TERNARY, 1, None),
+    # more output symbols than depths: L, not |Y|, bounds the levels in use
+    ("noiseless5-2", Channel.noiseless(5), 2, None),
+    ("wide-zeros-3", Channel([[0.5, 0.0, 0.25, 0.0, 0.25], [0.0, 0.4, 0.0, 0.6, 0.0]],
+                             [0.0, 1.0]), 3, None),
 ]
 
 
