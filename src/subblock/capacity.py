@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .typeclass import (Composition, composition_count, enumerate_compositions,
 CLASS_CAP = 10**6          # sequences materialized per input type class
 OUTPUT_TYPE_CAP = 10**5    # number of output type classes
 RATE_TIE_TOL = 1e-12
+_PRUNE_MARGIN = 4 * RATE_TIE_TOL  # see cscc_from_table
 NEWTON_MAX_STEPS = 500     # steps of one barrier Newton solve
 LN2 = math.log(2.0)
 _CHUNK = 1 << 16          # sequences summed per chunk
@@ -267,6 +268,39 @@ def cscc_composition_rate(ch: Channel, composition: Composition) -> CapacityResu
     return CapacityResult(rate=max(rate, 0.0), composition=composition)
 
 
+class _ClassRows:
+    """The kernel's rows for one channel and subblock length, computed on
+    demand and kept: each class's output law, its unclamped CSCC rate and its
+    closed-form bound :func:`class_rate_bound`.  A :class:`LawTable` and every
+    table its :meth:`LawTable.at` returns share one, so a sweep computes each
+    class at most once."""
+
+    def __init__(self, ch: Channel, length: int):
+        self.ch, self.length = ch, length
+        self.sizes: np.ndarray | None = None
+        self.rows: dict[Composition, tuple[np.ndarray, float]] = {}
+        self.bounds: dict[Composition, float] = {}
+
+    def fill(self, compositions) -> None:
+        """Compute the rows of ``compositions`` not kept yet, in one
+        :func:`class_laws` call.  A class's row does not depend on the others
+        in the call, so it is bit for bit what any other call gives."""
+        missing = [comp for comp in compositions if comp not in self.rows]
+        if missing:
+            self.sizes, laws = class_laws(self.ch.w, missing, self.length)
+            rates = class_rates(self.ch, missing, self.sizes, laws)
+            self.rows.update(zip(missing, zip(laws, rates)))
+
+    def rate(self, composition: Composition) -> float:
+        self.fill((composition,))
+        return self.rows[composition][1]
+
+    def bound(self, composition: Composition) -> float:
+        if composition not in self.bounds:
+            self.bounds[composition] = class_rate_bound(self.ch, composition)
+        return self.bounds[composition]
+
+
 @dataclass(frozen=True)
 class LawTable:
     """The kernel's output for one channel and subblock length, over the
@@ -274,15 +308,37 @@ class LawTable:
     each class's mean energy, its output law P(y_Q | P) against the output
     type sizes |T_Q| (as :func:`class_laws` returns them) and its unclamped
     CSCC rate in bits/use.  Feasible sets shrink as the threshold rises, so
-    :meth:`at` serves any higher threshold from the same rows."""
+    :meth:`at` serves any higher threshold from the same rows.
+
+    The energies are computed when the table is built; the rows are computed
+    on demand and kept per class, in a store the table shares with the
+    tables :meth:`at` returns.  A read of ``sizes``, ``laws`` or ``rates``
+    computes every row not kept yet in one :func:`class_laws` call;
+    :func:`cscc_from_table` computes only the rows its bound cannot rule
+    out."""
 
     length: int
     threshold: float
     compositions: tuple[Composition, ...]
     energies: tuple[float, ...]
-    sizes: np.ndarray
-    laws: np.ndarray
-    rates: tuple[float, ...]
+    _rows: _ClassRows = field(repr=False, compare=False)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        self._rows.fill(self.compositions)
+        return self._rows.sizes
+
+    @property
+    def laws(self) -> np.ndarray:
+        self._rows.fill(self.compositions)
+        laws = np.array([self._rows.rows[comp][0] for comp in self.compositions])
+        laws.setflags(write=False)
+        return laws
+
+    @property
+    def rates(self) -> tuple[float, ...]:
+        self._rows.fill(self.compositions)
+        return tuple(self._rows.rows[comp][1] for comp in self.compositions)
 
     def at(self, threshold: float) -> LawTable:
         """The rows feasible at ``threshold``, bit for bit what a table built
@@ -290,40 +346,64 @@ class LawTable:
         if threshold < self.threshold:
             raise ValueError(f"table built at {self.threshold} cannot serve {threshold}")
         rows = feasible_rows(self.energies, self.length, threshold)
-        laws = self.laws[rows]
-        laws.setflags(write=False)
         return LawTable(self.length, threshold,
                         tuple(self.compositions[i] for i in rows),
-                        tuple(self.energies[i] for i in rows), self.sizes, laws,
-                        tuple(self.rates[i] for i in rows))
+                        tuple(self.energies[i] for i in rows), self._rows)
 
 
 def law_tables(ch: Channel, lengths, threshold: float) -> dict[int, LawTable]:
     """One :class:`LawTable` per distinct length in ``lengths``, at
-    ``threshold``.  The caps of every length are checked before any class is
-    materialized, so a sweep fails before it does any work."""
+    ``threshold``.  The caps of every feasible class of every length are
+    checked before any class is materialized, so a sweep fails before it
+    does any work."""
     feasible = {length: feasible_compositions(ch, length, threshold)
                 for length in lengths}
     for length, compositions in feasible.items():
         check_class_caps(ch.output_size, compositions, length)
-    tables = {}
-    for length, compositions in feasible.items():
-        sizes, laws = class_laws(ch.w, compositions, length)
-        tables[length] = LawTable(
-            length, threshold, compositions,
-            tuple(comp.mean_energy(ch.energy) for comp in compositions), sizes, laws,
-            tuple(class_rates(ch, compositions, sizes, laws)))
-    return tables
+    return {length: LawTable(length, threshold, compositions,
+                             tuple(comp.mean_energy(ch.energy) for comp in compositions),
+                             _ClassRows(ch, length))
+            for length, compositions in feasible.items()}
+
+
+def class_rate_bound(ch: Channel, composition: Composition) -> float:
+    """u(P) = min(I(P, W), log2|T_P| / L) in bits/use, a closed-form upper
+    bound on the CSCC rate of the class of ``composition``.  Under the input
+    uniform on T_P every letter has marginal P and the channel is memoryless,
+    so I(X^L; Y^L) <= L I(P, W); and I(X^L; Y^L) <= H(X^L) = log2|T_P|."""
+    return min(ccc_composition_rate(ch, composition),
+               log_type_class_size(composition) / composition.length)
 
 
 def cscc_from_table(table: LawTable) -> CapacityResult:
     """The best class of ``table``.  Ties within ``RATE_TIE_TOL`` go to the
     composition with the larger mean energy, then to the lexicographically
-    smallest counts vector."""
+    smallest counts vector, the rule applied in table order.
+
+    The classes are visited in decreasing :func:`class_rate_bound`, ties in
+    table order, and each one's rate is computed, until the bound of the
+    next is below ``floor - _PRUNE_MARGIN``.  ``floor`` is the lowest rate
+    joined to the best one by a chain of computed rates each within
+    ``_PRUNE_MARGIN`` of the next.  So every class left out, and every
+    computed class outside the chain, is more than ``RATE_TIE_TOL`` below
+    every class of the chain, with room for rounding: the first of the chain
+    in table order displaces whichever of them is best before it, and none
+    of them displaces one of the chain after it.  The tie rule over the
+    computed classes therefore picks what it picks over all of them."""
+    rows = table._rows
+    bounds = [rows.bound(comp) for comp in table.compositions]
+    rates: dict[int, float] = {}
+    floor = -math.inf
+    for i in sorted(range(len(bounds)), key=lambda i: -bounds[i]):
+        if bounds[i] < floor - _PRUNE_MARGIN:
+            break
+        rates[i] = max(rows.rate(table.compositions[i]), 0.0)
+        floor = _chain_floor(rates.values())
     best: CapacityResult | None = None
     best_energy = -1.0
-    for comp, energy, rate in zip(table.compositions, table.energies, table.rates):
-        res = CapacityResult(rate=max(rate, 0.0), composition=comp)
+    for i in sorted(rates):
+        comp, energy = table.compositions[i], table.energies[i]
+        res = CapacityResult(rate=rates[i], composition=comp)
         if best is None or res.rate > best.rate + RATE_TIE_TOL:
             best, best_energy = res, energy
             continue
@@ -334,6 +414,18 @@ def cscc_from_table(table: LawTable) -> CapacityResult:
                     comp.counts < best.composition.counts:
                 best = res
     return best
+
+
+def _chain_floor(rates) -> float:
+    """The lowest of ``rates`` reached from the highest by steps down of at
+    most ``_PRUNE_MARGIN``."""
+    ordered = sorted(rates, reverse=True)
+    floor = ordered[0]
+    for rate in ordered[1:]:
+        if rate < floor - _PRUNE_MARGIN:
+            break
+        floor = rate
+    return floor
 
 
 def cscc_capacity(ch: Channel, length: int, threshold: float) -> CapacityResult:
@@ -515,11 +607,14 @@ def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10) -> Capacit
     unconstrained optimizer; if it meets the energy constraint, it is the
     answer.  At threshold = b_max only the maximum-energy symbols are
     feasible, and the same solve runs on their rows.  Otherwise the
-    constraint is active, and one :func:`barrier_newton` solve on
-    {sum P = 1, E_P[b] = threshold}, started from the unconstrained
+    constraint is active.  With two inputs {sum P = 1, E_P[b] = threshold}
+    is the single point P(x_hi) = (threshold - b_lo) / (b_hi - b_lo), so the
+    answer is I(P, W) there, exact, with ``residual`` 0.  With more, one
+    :func:`barrier_newton` solve on that set, started from the unconstrained
     optimizer, gives the optimizer and the Lagrange multiplier of the energy
     row together.  ``residual`` reports the certified weak-duality gap in
-    bits, and ``iterations`` counts Newton steps.
+    bits, and ``iterations`` counts Newton steps: those of the solves run,
+    so only the unconstrained one in the two-input closed form.
     """
     if threshold > ch.b_max + 1e-12:
         raise Infeasible(
@@ -541,6 +636,15 @@ def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10) -> Capacit
         full[keep] = sub_p
         return CapacityResult(rate=sub_info / LN2, distribution=full,
                               iterations=iters + sub_iters, residual=gap / LN2)
+
+    if ch.input_size == 2:
+        # {sum P = 1, E_P[b] = threshold} is a single point
+        hi, lo = (1, 0) if b[1] > b[0] else (0, 1)
+        p = np.zeros(2)
+        p[hi] = (threshold - b[lo]) / (b[hi] - b[lo])
+        p[lo] = 1.0 - p[hi]
+        return CapacityResult(rate=mutual_information(p, ch), distribution=p,
+                              iterations=iters, residual=0.0)
 
     p, info, steps, gap = barrier_newton(ch.w, p_init=p, tol_nats=tol_nats,
                                          energy=(b, threshold))

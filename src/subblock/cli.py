@@ -251,7 +251,10 @@ def cmd_secc(args) -> int:
 
     def point(value):
         ch, threshold, classes = setting(value)
-        row = [value, cscc_from_table(classes).rate, secc_uniform_from_table(classes)]
+        # the SECC rates read every row, in one kernel call; the CSCC scan
+        # then finds its rows computed
+        uniform = secc_uniform_from_table(classes)
+        row = [value, cscc_from_table(classes).rate, uniform]
         if exact:
             row.append(secc_from_table(classes).rate)
         row.append(capacity_power(ch, threshold).rate)

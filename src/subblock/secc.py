@@ -76,6 +76,12 @@ def secc_from_table(table: LawTable, tol: float = 1e-9, *,
         if finish[3] < gap:
             p, info_nats, _, gap = finish
     rate = (info_nats + float(p @ bonus)) / LN2 / length
+    # a single class is feasible too, and the solver may stop up to its
+    # tolerance below the best one
+    best = int(np.argmax(rates))
+    if rates[best] > rate:
+        rate, p = float(rates[best]), np.zeros(len(rates))
+        p[best] = 1.0
     return CapacityResult(rate=max(rate, 0.0), distribution=p, iterations=iterations,
                           residual=gap / LN2 / length)
 
@@ -87,7 +93,10 @@ def secc_capacity(ch: Channel, length: int, threshold: float,
     started at the class weights |T_P| / |A| and duality-gap certified to
     ``tol``.  If ``max_iter`` iterations leave the gap above ``tol``,
     :func:`barrier_newton` finishes from the last iterate and its steps count
-    as iterations; ``residual`` is the gap reached.
+    as iterations; ``residual`` is the gap reached.  If the best single class,
+    a vertex of the feasible set with J / L its CSCC rate, beats the solver's
+    point, that class is reported with all the weight; the gap still bounds
+    the distance to the maximum, as the reported rate is higher.
 
     The returned distribution holds one weight per feasible class, in the
     order of ``feasible_compositions(ch, length, threshold)``; each

@@ -3,6 +3,7 @@ import gc
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 from subblock import (Channel, Composition, DomainError, EmptyFeasibleSet,
                       Infeasible, SizeLimit, capacity_power, ccc_composition_rate,
                       cscc_capacity, cscc_composition_rate,
-                      cscc_composition_rate_bruteforce, feasible_compositions,
-                      mutual_information, type_class_size, vector_channel)
+                      cscc_composition_rate_bruteforce, enumerate_compositions,
+                      feasible_compositions, mutual_information, type_class_size,
+                      vector_channel)
 import subblock.capacity
-from subblock.capacity import (check_class_caps, class_laws, class_rates, cscc_from_table,
-                               law_tables)
+from subblock.capacity import (check_class_caps, class_laws, class_rate_bound, class_rates,
+                               cscc_from_table, law_tables)
 from subblock.oracle import two_input_ccc
 
 
@@ -181,10 +183,10 @@ def test_capacity_power_edges():
 def test_capacity_power_residual_is_certified():
     result = capacity_power(bsc(0.17), 0.82, tol=1e-10)
     assert 0.0 <= result.residual <= 1e-9
-    assert result.iterations > 0
     # an earlier solver returned 0.62392 bits here with residual 0.121
     result = capacity_power(FOUR, 0.6251703124142338)
     assert result.residual <= 1e-10
+    assert result.iterations > 0
     assert abs(result.rate - 0.637070484594) <= 1e-9
     noiseless = Channel.noiseless(2, (0.0, 1.0))
     assert capacity_power(noiseless, 0.95).residual <= 1e-10
@@ -206,6 +208,25 @@ def test_capacity_power_nearly_useless_channel():
     assert result.residual <= 1e-10
     assert abs(result.rate - two_input_ccc(ch, 0.1727)) <= 1e-9
     assert result.iterations <= 100
+
+
+def test_capacity_power_with_two_inputs_is_closed_form(monkeypatch):
+    solves, solve = [], subblock.capacity.barrier_newton
+    monkeypatch.setattr(subblock.capacity, "barrier_newton",
+                        lambda *args, **kwargs: solves.append(kwargs) or solve(*args, **kwargs))
+    for ch, threshold in ((bsc(0.1), 0.9), (bsc(0.17), 0.82),
+                          (Channel([[0.422, 0.578], [0.5, 0.5]], (0.637, 0.374)), 0.6341),
+                          (Channel([[0.1, 0.9], [0.7, 0.3]], (1.0, 0.25)), 0.9)):
+        solves.clear()
+        result = capacity_power(ch, threshold, tol=1e-10)
+        b_hi, b_lo = max(ch.energy), min(ch.energy)
+        p_hi = (threshold - b_lo) / (b_hi - b_lo)
+        p = result.distribution
+        assert len(solves) == 1     # the unconstrained solve only
+        assert p[int(np.argmax(ch.energy))] == p_hi and p.sum() == 1.0
+        assert result.rate == mutual_information(p, ch)
+        assert result.residual == 0.0
+        assert abs(result.rate - two_input_ccc(ch, threshold)) <= 1e-9
 
 
 def test_capacity_power_makes_no_blahut_arimoto_call(monkeypatch):
@@ -264,6 +285,69 @@ def test_law_table_rows_match_a_fresh_kernel_call(ch, length, levels):
     if high > low:
         with pytest.raises(ValueError):
             rows.at(low)
+
+
+@st.composite
+def channels_with_zeros(draw):
+    """Square 2 x 2 and 3 x 3 channels, some of whose entries are 0."""
+    size = draw(st.integers(2, 3))
+    w = np.array([draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+                  for _ in range(size)]) ** 3
+    w[np.array(draw(st.lists(st.booleans(), min_size=size * size,
+                             max_size=size * size))).reshape(size, size)] = 0.0
+    for row in w:
+        if row.sum() == 0.0:
+            row[draw(st.integers(0, size - 1))] = 1.0
+    energy = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    return Channel(w / w.sum(axis=1, keepdims=True), energy)
+
+
+def test_class_rate_bound_closed_forms():
+    noiseless = Channel.noiseless(2, (0.0, 1.0))
+    # log2|T_P| / L is the smaller term on a noiseless channel
+    assert abs(class_rate_bound(noiseless, Composition((1, 1))) - 0.5) <= 1e-15
+    assert abs(class_rate_bound(noiseless, Composition((4, 4))) - math.log2(70) / 8) <= 1e-15
+    # I(P, W) is the smaller term on a noisy one
+    assert class_rate_bound(bsc(0.1), Composition((4, 4))) \
+        == ccc_composition_rate(bsc(0.1), Composition((4, 4)))
+    assert class_rate_bound(bsc(0.1), Composition((0, 5))) == 0.0
+
+
+# The bound holds exactly; the computed rates carry rounding, hence 1e-12.
+
+@settings(max_examples=30, deadline=None)
+@given(ch=channels_with_zeros(), length=st.integers(1, 6))
+def test_class_rate_bound_dominates_the_oracle(ch, length):
+    for comp in enumerate_compositions(ch.input_size, length):
+        assert class_rate_bound(ch, comp) >= \
+            cscc_composition_rate_bruteforce(ch, comp) - 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(ch=channels_with_zeros(), length=st.integers(1, 12))
+def test_class_rate_bound_dominates_the_kernel(ch, length):
+    compositions = enumerate_compositions(ch.input_size, length)
+    rates = class_rates(ch, compositions, *class_laws(ch.w, compositions, length))
+    for comp, rate in zip(compositions, rates):
+        assert class_rate_bound(ch, comp) >= rate - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(ch=channels_with_zeros(), length=st.integers(1, 8),
+       levels=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_pruned_scan_matches_the_full_scan(ch, length, levels):
+    b = ch.energy
+    low, high = sorted(float(b.min() + t * (b.max() - b.min())) for t in levels)
+    table = law_tables(ch, (length,), low)[length]
+    pruned = [cscc_from_table(table), cscc_from_table(table.at(high))]
+    eager = law_tables(ch, (length,), low)[length]
+    assert len(eager.rates) == len(eager.compositions)      # every row, up front
+    # with no class ruled out the scan is the plain tie rule over every row
+    with mock.patch.object(subblock.capacity, "class_rate_bound",
+                           lambda ch, comp: math.inf):
+        full = [cscc_from_table(eager), cscc_from_table(eager.at(high))]
+    assert pruned == full
+    assert pruned[0] == cscc_capacity(ch, length, low)
 
 
 def test_sandwich_against_feasible_members():

@@ -288,16 +288,35 @@ def test_caps_of_every_length_are_checked_before_any_work(monkeypatch):
 
 
 def test_sweeps_compute_one_law_table_per_channel_and_length(monkeypatch):
-    calls = recorded_calls(monkeypatch, subblock.capacity, "class_laws")
-    fig4_lengths = {row[1] for row in read_csv(GOLDEN / "fig4.csv")[1:] if row[1]}
-    for command, expected in [
-            ("cscc-capacity --channel bsc:0.1 --b-values 0:1:0.1 --L 12,16", 2),
+    # each table computes its rows on demand; no class law is computed twice
+    calls, computed, kernel = [], [], subblock.capacity.class_laws
+
+    def recording(a, compositions, length):
+        calls.append(compositions)
+        computed.extend((a.tobytes(), comp) for comp in compositions)
+        return kernel(a, compositions, length)
+
+    monkeypatch.setattr(subblock.capacity, "class_laws", recording)
+    # the SECC columns read every row in one call per channel
+    for command, expected_calls in [
+            ("cscc-capacity --channel bsc:0.1 --b-values 0:1:0.1 --L 12,16", None),
             ("secc --channel bsc:0.1 --L 8 --b-values 0.3:0.7:0.1", 1),
             ("secc --channel bsc --L 4 --B 0.6 --p0-values 0.1,0.2,0.3,0.4", 4),
-            (README_COMMANDS["fig4.csv"], len(fig4_lengths))]:
+            (README_COMMANDS["fig4.csv"], None)]:
+        computed.clear()
         calls.clear()
         assert main([*command.split(), "-o", os.devnull]) == 0
-        assert len(calls) == expected, command
+        assert computed and len(set(computed)) == len(computed), command
+        assert expected_calls in (None, len(calls)), command
+
+
+def test_cscc_capacity_computes_only_the_classes_its_bound_keeps(monkeypatch):
+    # README fig4: 12 of the 44 feasible classes over its eight lengths; at
+    # L = 16 only (8, 8) and (7, 9)
+    calls = recorded_calls(monkeypatch, subblock.capacity, "materialize_type_class")
+    assert main([*README_COMMANDS["fig4.csv"].split(), "-o", os.devnull]) == 0
+    assert len(calls) == 12 and len(set(calls)) == 12
+    assert [comp.counts for comp in calls if comp.length == 16] == [(8, 8), (7, 9)]
 
 
 def test_secc_sweep(tmp_path):
