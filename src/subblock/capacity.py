@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +26,8 @@ from .channel import (Channel, as_distribution, conditional_entropy,
                       mutual_information)
 from .errors import DomainError, Infeasible, SizeLimit
 from .typeclass import (Composition, composition_count, enumerate_compositions,
-                        feasible_compositions, feasible_rows,
-                        log_type_class_size, materialize_type_class,
-                        type_class_size)
+                        feasible_rows, log_type_class_size,
+                        materialize_type_class, type_class_size)
 
 CLASS_CAP = 10**6          # sequences materialized per input type class
 OUTPUT_TYPE_CAP = 10**5    # number of output type classes
@@ -268,102 +267,60 @@ def cscc_composition_rate(ch: Channel, composition: Composition) -> CapacityResu
     return CapacityResult(rate=max(rate, 0.0), composition=composition)
 
 
-class _ClassRows:
-    """The kernel's rows for one channel and subblock length, computed on
-    demand and kept: each class's output law, its unclamped CSCC rate and its
-    closed-form bound :func:`class_rate_bound`.  A :class:`LawTable` and every
-    table its :meth:`LawTable.at` returns share one, so a sweep computes each
-    class at most once."""
+class ClassTable:
+    """The type classes of one channel and subblock length: every composition
+    with its mean energy, and, computed on demand and kept, each class's
+    output law P(y_Q | P), its unclamped CSCC rate in bits/use and its bound
+    :func:`class_rate_bound`.  A threshold is an argument of the readers,
+    not of the table, so one table serves a whole sweep of thresholds and
+    computes each class at most once."""
 
     def __init__(self, ch: Channel, length: int):
         self.ch, self.length = ch, length
-        self.sizes: np.ndarray | None = None
-        self.rows: dict[Composition, tuple[np.ndarray, float]] = {}
-        self.bounds: dict[Composition, float] = {}
+        self.energies = {comp: comp.mean_energy(ch.energy)
+                         for comp in enumerate_compositions(ch.input_size, length)}
+        self._sizes: np.ndarray | None = None
+        self._rows: dict[Composition, tuple[np.ndarray, float]] = {}
+        self._bounds: dict[Composition, float] = {}
 
-    def fill(self, compositions) -> None:
+    def feasible(self, threshold: float) -> tuple[Composition, ...]:
+        """The classes feasible at ``threshold``, bit for bit what
+        :func:`feasible_compositions` gives, after :func:`check_class_caps`
+        has passed them, so a reader fails before it computes any class."""
+        members = tuple(self.energies)
+        classes = tuple(members[i] for i in
+                        feasible_rows(self.energies.values(), self.length, threshold))
+        check_class_caps(self.ch.output_size, classes, self.length)
+        return classes
+
+    def _fill(self, compositions) -> None:
         """Compute the rows of ``compositions`` not kept yet, in one
         :func:`class_laws` call.  A class's row does not depend on the others
         in the call, so it is bit for bit what any other call gives."""
-        missing = [comp for comp in compositions if comp not in self.rows]
+        missing = [comp for comp in compositions if comp not in self._rows]
         if missing:
-            self.sizes, laws = class_laws(self.ch.w, missing, self.length)
-            rates = class_rates(self.ch, missing, self.sizes, laws)
-            self.rows.update(zip(missing, zip(laws, rates)))
+            self._sizes, laws = class_laws(self.ch.w, missing, self.length)
+            rates = class_rates(self.ch, missing, self._sizes, laws)
+            self._rows.update(zip(missing, zip(laws, rates)))
 
-    def rate(self, composition: Composition) -> float:
-        self.fill((composition,))
-        return self.rows[composition][1]
+    def laws(self, compositions) -> tuple[np.ndarray, np.ndarray]:
+        """``(sizes, laws)`` for ``compositions``, as :func:`class_laws`
+        returns them."""
+        self._fill(compositions)
+        laws = np.array([self._rows[comp][0] for comp in compositions])
+        laws.setflags(write=False)
+        return self._sizes, laws
+
+    def rates(self, compositions) -> list[float]:
+        """The unclamped CSCC rates of ``compositions``, as
+        :func:`class_rates` returns them."""
+        self._fill(compositions)
+        return [self._rows[comp][1] for comp in compositions]
 
     def bound(self, composition: Composition) -> float:
-        if composition not in self.bounds:
-            self.bounds[composition] = class_rate_bound(self.ch, composition)
-        return self.bounds[composition]
-
-
-@dataclass(frozen=True)
-class LawTable:
-    """The kernel's output for one channel and subblock length, over the
-    classes feasible at ``threshold``, in :func:`feasible_compositions` order:
-    each class's mean energy, its output law P(y_Q | P) against the output
-    type sizes |T_Q| (as :func:`class_laws` returns them) and its unclamped
-    CSCC rate in bits/use.  Feasible sets shrink as the threshold rises, so
-    :meth:`at` serves any higher threshold from the same rows.
-
-    The energies are computed when the table is built; the rows are computed
-    on demand and kept per class, in a store the table shares with the
-    tables :meth:`at` returns.  A read of ``sizes``, ``laws`` or ``rates``
-    computes every row not kept yet in one :func:`class_laws` call;
-    :func:`cscc_from_table` computes only the rows its bound cannot rule
-    out."""
-
-    length: int
-    threshold: float
-    compositions: tuple[Composition, ...]
-    energies: tuple[float, ...]
-    _rows: _ClassRows = field(repr=False, compare=False)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        self._rows.fill(self.compositions)
-        return self._rows.sizes
-
-    @property
-    def laws(self) -> np.ndarray:
-        self._rows.fill(self.compositions)
-        laws = np.array([self._rows.rows[comp][0] for comp in self.compositions])
-        laws.setflags(write=False)
-        return laws
-
-    @property
-    def rates(self) -> tuple[float, ...]:
-        self._rows.fill(self.compositions)
-        return tuple(self._rows.rows[comp][1] for comp in self.compositions)
-
-    def at(self, threshold: float) -> LawTable:
-        """The rows feasible at ``threshold``, bit for bit what a table built
-        there would hold."""
-        if threshold < self.threshold:
-            raise ValueError(f"table built at {self.threshold} cannot serve {threshold}")
-        rows = feasible_rows(self.energies, self.length, threshold)
-        return LawTable(self.length, threshold,
-                        tuple(self.compositions[i] for i in rows),
-                        tuple(self.energies[i] for i in rows), self._rows)
-
-
-def law_tables(ch: Channel, lengths, threshold: float) -> dict[int, LawTable]:
-    """One :class:`LawTable` per distinct length in ``lengths``, at
-    ``threshold``.  The caps of every feasible class of every length are
-    checked before any class is materialized, so a sweep fails before it
-    does any work."""
-    feasible = {length: feasible_compositions(ch, length, threshold)
-                for length in lengths}
-    for length, compositions in feasible.items():
-        check_class_caps(ch.output_size, compositions, length)
-    return {length: LawTable(length, threshold, compositions,
-                             tuple(comp.mean_energy(ch.energy) for comp in compositions),
-                             _ClassRows(ch, length))
-            for length, compositions in feasible.items()}
+        if composition not in self._bounds:
+            self._bounds[composition] = class_rate_bound(self.ch, composition)
+        return self._bounds[composition]
 
 
 def class_rate_bound(ch: Channel, composition: Composition) -> float:
@@ -375,34 +332,37 @@ def class_rate_bound(ch: Channel, composition: Composition) -> float:
                log_type_class_size(composition) / composition.length)
 
 
-def cscc_from_table(table: LawTable) -> CapacityResult:
-    """The best class of ``table``.  Ties within ``RATE_TIE_TOL`` go to the
-    composition with the larger mean energy, then to the lexicographically
-    smallest counts vector, the rule applied in table order.
+def cscc_from_table(table: ClassTable, threshold: float) -> CapacityResult:
+    """The best class of ``table`` feasible at ``threshold``.  Ties within
+    ``RATE_TIE_TOL`` go to the composition with the larger mean energy, then
+    to the lexicographically smallest counts vector, the rule applied in
+    :meth:`ClassTable.feasible` order.
 
     The classes are visited in decreasing :func:`class_rate_bound`, ties in
-    table order, and each one's rate is computed, until the bound of the
+    that order, and each one's rate is computed, until the bound of the
     next is below ``floor - _PRUNE_MARGIN``.  ``floor`` is the lowest rate
     joined to the best one by a chain of computed rates each within
     ``_PRUNE_MARGIN`` of the next.  So every class left out, and every
     computed class outside the chain, is more than ``RATE_TIE_TOL`` below
     every class of the chain, with room for rounding: the first of the chain
-    in table order displaces whichever of them is best before it, and none
-    of them displaces one of the chain after it.  The tie rule over the
+    in feasible order displaces whichever of them is best before it, and
+    none of them displaces one of the chain after it.  The tie rule over the
     computed classes therefore picks what it picks over all of them."""
-    rows = table._rows
-    bounds = [rows.bound(comp) for comp in table.compositions]
+    classes = table.feasible(threshold)
+    bounds = [table.bound(comp) for comp in classes]
     rates: dict[int, float] = {}
     floor = -math.inf
     for i in sorted(range(len(bounds)), key=lambda i: -bounds[i]):
         if bounds[i] < floor - _PRUNE_MARGIN:
             break
-        rates[i] = max(rows.rate(table.compositions[i]), 0.0)
+        rate, = table.rates((classes[i],))
+        rates[i] = max(rate, 0.0)
         floor = _chain_floor(rates.values())
     best: CapacityResult | None = None
     best_energy = -1.0
     for i in sorted(rates):
-        comp, energy = table.compositions[i], table.energies[i]
+        comp = classes[i]
+        energy = table.energies[comp]
         res = CapacityResult(rate=rates[i], composition=comp)
         if best is None or res.rate > best.rate + RATE_TIE_TOL:
             best, best_energy = res, energy
@@ -431,7 +391,7 @@ def _chain_floor(rates) -> float:
 def cscc_capacity(ch: Channel, length: int, threshold: float) -> CapacityResult:
     """CSCC capacity: the best fixed composition among the energy-feasible
     set, with the tie rule of :func:`cscc_from_table`."""
-    return cscc_from_table(law_tables(ch, (length,), threshold)[length])
+    return cscc_from_table(ClassTable(ch, length), threshold)
 
 
 def ccc_composition_rate(ch: Channel, composition) -> float:

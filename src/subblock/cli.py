@@ -1,8 +1,9 @@
 """Batch front-end: sweeps capacities, bounds, exponents, energy traces, and
 finite-blocklength rates into CSV, and runs the validation suite.
 
-Exit codes: 0 success, 2 infeasible input, 3 size cap exceeded.  Output is
-deterministic for a fixed command line and seed.
+Exit codes: 0 success, 1 a failed validation criterion, 2 infeasible or
+invalid input, 3 size cap exceeded, 4 an iterative solver did not converge.
+Output is deterministic for a fixed command line and seed.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import numpy as np
 from . import validation
 from .bounds import (cscc_rate_lower_bound_bsc, penalty_bound_bec,
                      penalty_bound_bsc, penalty_bound_z)
-from .capacity import (capacity_power, ccc_composition_rate, class_laws, class_rates,
-                       cscc_from_table, law_tables)
+from .capacity import (ClassTable, capacity_power, ccc_composition_rate, class_laws,
+                       class_rates, cscc_from_table)
 from .channel import Channel
 from .energy import (BufferConfig, balanced_composition, cscc_sequence,
                      max_subblock_length, simulate, worst_case_drawdown)
-from .errors import DomainError, Infeasible, SizeLimit
+from .errors import DomainError, Infeasible, NoConvergence, SizeLimit
 from .exponent import exponent_curve
 from .finiteblock import bsc_capacity, lsd_rate_bsc
 from .oracle import asymmetry_witness
@@ -33,6 +34,7 @@ from .typeclass import Composition, rate_loss
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_SIZE_LIMIT = 3
+EXIT_NO_CONVERGENCE = 4
 
 
 # -- argument parsing helpers --------------------------------------------------
@@ -164,6 +166,16 @@ def _require(value, flag: str):
     return value
 
 
+def _class_tables(ch: Channel, lengths, threshold: float) -> dict[int, ClassTable]:
+    """One :class:`ClassTable` per distinct length in ``lengths``, with the
+    caps of the classes feasible at ``threshold`` checked for every length
+    before any class is computed, so a sweep fails before it does any work."""
+    tables = {length: ClassTable(ch, length) for length in lengths}
+    for table in tables.values():
+        table.feasible(threshold)
+    return tables
+
+
 def cmd_cscc_capacity(args) -> int:
     _demand(args.B)
     ch = parse_channel(args.channel, args.b)
@@ -178,8 +190,8 @@ def cmd_cscc_capacity(args) -> int:
             if length is math.inf:
                 raise Infeasible("no symbol draws the buffer down; pick a finite sweep")
             lengths.append(int(length))
-        tables = law_tables(ch, [length for length in lengths if length >= 1], args.B)
-        rows = [(e_max, length, cscc_from_table(tables[length]).rate) if length >= 1
+        tables = _class_tables(ch, [length for length in lengths if length >= 1], args.B)
+        rows = [(e_max, length, cscc_from_table(tables[length], args.B).rate) if length >= 1
                 else (e_max, None, None) for e_max, length in zip(grid, lengths)]
         write_csv(args.output, ["e_max", "L", "cscc_capacity"], rows)
         return EXIT_OK
@@ -190,14 +202,13 @@ def cmd_cscc_capacity(args) -> int:
     if args.ccc:
         header.append("ccc")
 
-    # parse_grid lists thresholds in increasing order, so the tables built at
-    # the first one hold every row the others need
-    tables = law_tables(ch, lengths, grid[0])
+    # parse_grid lists thresholds in increasing order, so the classes
+    # feasible at the first one hold those of every other
+    tables = _class_tables(ch, lengths, grid[0])
 
     def point(threshold):
         row = [threshold]
-        row.extend(cscc_from_table(tables[length].at(threshold)).rate
-                   for length in lengths)
+        row.extend(cscc_from_table(tables[length], threshold).rate for length in lengths)
         if args.ccc:
             row.append(capacity_power(ch, threshold).rate)
         return row
@@ -237,30 +248,26 @@ def cmd_secc(args) -> int:
 
         def setting(p0):
             ch = Channel.bsc(p0) if args.b is None else parse_channel(f"bsc:{p0}", args.b)
-            return ch, args.B, law_tables(ch, (args.L,), args.B)[args.L]
+            return ch, args.B, ClassTable(ch, args.L)
     else:
         fixed = parse_channel(args.channel, args.b)
         grid, column = parse_grid(_require(args.b_values, "--b-values or --p0-values")), "B"
-        table = law_tables(fixed, (args.L,), grid[0])[args.L]
+        table = ClassTable(fixed, args.L)
 
         def setting(threshold):
-            return fixed, threshold, table.at(threshold)
-
-    exact = args.exact_secc
-    header = [column, "cscc", "secc_uniform"] + (["secc"] if exact else []) + ["ccc"]
+            return fixed, threshold, table
 
     def point(value):
-        ch, threshold, classes = setting(value)
-        # the SECC rates read every row, in one kernel call; the CSCC scan
-        # then finds its rows computed
-        uniform = secc_uniform_from_table(classes)
-        row = [value, cscc_from_table(classes).rate, uniform]
-        if exact:
-            row.append(secc_from_table(classes).rate)
-        row.append(capacity_power(ch, threshold).rate)
-        return row
+        ch, threshold, table = setting(value)
+        # the SECC rates read every feasible row, in one kernel call; the
+        # CSCC scan then finds its rows computed
+        uniform = secc_uniform_from_table(table, threshold)
+        return [value, cscc_from_table(table, threshold).rate, uniform,
+                secc_from_table(table, threshold).rate,
+                capacity_power(ch, threshold).rate]
 
-    write_csv(args.output, header, [point(value) for value in grid])
+    write_csv(args.output, [column, "cscc", "secc_uniform", "secc", "ccc"],
+              [point(value) for value in grid])
     return EXIT_OK
 
 
@@ -416,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=float, default=0.5)
     p.add_argument("--b-values", default=None, help="sweep B on a fixed channel")
     p.add_argument("--p0-values", default=None, help="sweep BSC crossover")
-    p.add_argument("--no-exact-secc", dest="exact_secc", action="store_false",
-                   help="skip the Blahut-Arimoto exact capacity column")
     p.add_argument("--asymmetry", action="store_true",
                    help="emit the uniform-input per-class informations at "
                         "L=2, B=0.5 instead of rates")
@@ -493,6 +498,9 @@ def main(argv=None) -> int:
     except SizeLimit as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)
         return EXIT_SIZE_LIMIT
+    except NoConvergence as exc:
+        print(f"no convergence: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -25,43 +25,47 @@ import math
 
 import numpy as np
 
-from .capacity import (CapacityResult, LawTable, barrier_newton, blahut_arimoto,
-                       law_tables)
+from .capacity import (CapacityResult, ClassTable, barrier_newton, blahut_arimoto)
 from .channel import Channel, mutual_information_matrix
 from .typeclass import type_class_size
 
 LN2 = math.log(2.0)
 
 
-def _lumped_classes(table: LawTable):
-    """``(weights, lumped, rates)`` over the classes of ``table``: the
-    uniform super-letter weights |T_P| / |A|, the class-to-output-type channel
-    W[P, Q] = |T_Q| P(y_Q | P), and each class's unclamped CSCC rate in
-    bits/use."""
-    counts = [type_class_size(comp) for comp in table.compositions]
+def _lumped_classes(table: ClassTable, threshold: float):
+    """``(weights, lumped, rates)`` over the classes of ``table`` feasible
+    at ``threshold``: the uniform super-letter weights |T_P| / |A|, the
+    class-to-output-type channel W[P, Q] = |T_Q| P(y_Q | P), and each
+    class's unclamped CSCC rate in bits/use.  Every row is computed in one
+    kernel call."""
+    classes = table.feasible(threshold)
+    counts = [type_class_size(comp) for comp in classes]
     total = sum(counts)
-    return (np.array([n / total for n in counts]), table.laws * table.sizes,
-            np.array(table.rates))
+    sizes, laws = table.laws(classes)
+    return (np.array([n / total for n in counts]), laws * sizes,
+            np.array(table.rates(classes)))
 
 
-def secc_uniform_from_table(table: LawTable) -> float:
+def secc_uniform_from_table(table: ClassTable, threshold: float) -> float:
     """Rate (bits/use) achieved by the uniform distribution over the
-    super-alphabet of ``table``'s classes: J / L at the class weights."""
-    weights, lumped, rates = _lumped_classes(table)
+    super-alphabet of ``table``'s classes feasible at ``threshold``: J / L at
+    the class weights."""
+    weights, lumped, rates = _lumped_classes(table, threshold)
     return mutual_information_matrix(weights, lumped) / table.length + float(weights @ rates)
 
 
 def secc_uniform_rate(ch: Channel, length: int, threshold: float) -> float:
     """Rate (bits/use) achieved by the uniform distribution over the
     super-alphabet: J / L at the class weights |T_P| / |A|."""
-    return secc_uniform_from_table(law_tables(ch, (length,), threshold)[length])
+    return secc_uniform_from_table(ClassTable(ch, length), threshold)
 
 
-def secc_from_table(table: LawTable, tol: float = 1e-9, *,
+def secc_from_table(table: ClassTable, threshold: float, tol: float = 1e-9, *,
                     max_iter: int = 100_000) -> CapacityResult:
-    """Exact SECC capacity (bits/use) over ``table``'s classes, max J / L;
-    see :func:`secc_capacity`."""
-    weights, lumped, rates = _lumped_classes(table)
+    """Exact SECC capacity (bits/use), max J / L, over ``table``'s classes
+    feasible at ``threshold``; see :func:`secc_capacity`.  The distribution
+    holds one weight per class of ``table.feasible(threshold)``."""
+    weights, lumped, rates = _lumped_classes(table, threshold)
     length = table.length
     bonus = LN2 * length * rates
     tol_nats = max(tol * length * LN2, 1e-14)
@@ -100,7 +104,9 @@ def secc_capacity(ch: Channel, length: int, threshold: float,
 
     The returned distribution holds one weight per feasible class, in the
     order of ``feasible_compositions(ch, length, threshold)``; each
-    super-letter of class P carries weight / |T_P|.
+    super-letter of class P carries weight / |T_P|.  This builds a fresh
+    :class:`~subblock.capacity.ClassTable`; a sweep over thresholds passes
+    one table to :func:`secc_from_table` instead, so each class is computed
+    once.
     """
-    return secc_from_table(law_tables(ch, (length,), threshold)[length], tol,
-                           max_iter=max_iter)
+    return secc_from_table(ClassTable(ch, length), threshold, tol, max_iter=max_iter)

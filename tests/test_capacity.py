@@ -17,8 +17,8 @@ from subblock import (Channel, Composition, DomainError, EmptyFeasibleSet,
                       feasible_compositions, mutual_information, type_class_size,
                       vector_channel)
 import subblock.capacity
-from subblock.capacity import (check_class_caps, class_laws, class_rate_bound, class_rates,
-                               cscc_from_table, law_tables)
+from subblock.capacity import (ClassTable, check_class_caps, class_laws, class_rate_bound,
+                               class_rates, cscc_from_table)
 from subblock.oracle import two_input_ccc
 
 
@@ -274,17 +274,19 @@ def test_capacity_power_on_random_channels(ch, level):
 def test_law_table_rows_match_a_fresh_kernel_call(ch, length, levels):
     b = ch.energy
     low, high = sorted(float(b.min() + t * (b.max() - b.min())) for t in levels)
-    table = law_tables(ch, (length,), low)[length]
-    rows = table.at(high)
+    # the rows are computed at the lower threshold and read at the higher
+    table = ClassTable(ch, length)
+    table.laws(table.feasible(low))
+    rows = table.feasible(high)
     feasible = feasible_compositions(ch, length, high)
     sizes, laws = class_laws(ch.w, feasible, length)
-    assert rows.compositions == feasible
-    assert np.array_equal(rows.sizes, sizes) and np.array_equal(rows.laws, laws)
-    assert rows.rates == tuple(class_rates(ch, feasible, sizes, laws))
-    assert cscc_from_table(rows) == cscc_capacity(ch, length, high)
-    if high > low:
-        with pytest.raises(ValueError):
-            rows.at(low)
+    assert rows == feasible
+    table_sizes, table_laws = table.laws(rows)
+    assert np.array_equal(table_sizes, sizes) and np.array_equal(table_laws, laws)
+    assert table.rates(rows) == class_rates(ch, feasible, sizes, laws)
+    assert cscc_from_table(table, high) == cscc_capacity(ch, length, high)
+    # a threshold is an argument, so the table serves a lower one afterwards
+    assert cscc_from_table(table, low) == cscc_capacity(ch, length, low)
 
 
 @st.composite
@@ -338,14 +340,15 @@ def test_class_rate_bound_dominates_the_kernel(ch, length):
 def test_pruned_scan_matches_the_full_scan(ch, length, levels):
     b = ch.energy
     low, high = sorted(float(b.min() + t * (b.max() - b.min())) for t in levels)
-    table = law_tables(ch, (length,), low)[length]
-    pruned = [cscc_from_table(table), cscc_from_table(table.at(high))]
-    eager = law_tables(ch, (length,), low)[length]
-    assert len(eager.rates) == len(eager.compositions)      # every row, up front
+    table = ClassTable(ch, length)
+    pruned = [cscc_from_table(table, low), cscc_from_table(table, high)]
+    eager = ClassTable(ch, length)
+    feasible = eager.feasible(low)
+    assert len(eager.rates(feasible)) == len(feasible)      # every row, up front
     # with no class ruled out the scan is the plain tie rule over every row
     with mock.patch.object(subblock.capacity, "class_rate_bound",
                            lambda ch, comp: math.inf):
-        full = [cscc_from_table(eager), cscc_from_table(eager.at(high))]
+        full = [cscc_from_table(eager, low), cscc_from_table(eager, high)]
     assert pruned == full
     assert pruned[0] == cscc_capacity(ch, length, low)
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import subblock.capacity
-from subblock import (Composition, DomainError, ccc_composition_rate,
+import subblock.cli
+from subblock import (Composition, DomainError, NoConvergence, ccc_composition_rate,
                       cscc_composition_rate)
 from subblock.cli import PENALTY_FAMILIES, _format, main, parse_channel, parse_grid
 
@@ -280,11 +281,28 @@ def recorded_calls(monkeypatch, module, name):
 
 
 def test_caps_of_every_length_are_checked_before_any_work(monkeypatch):
-    # L = 12 is within the caps and L = 64 is not; nothing of L = 12 is built
     calls = recorded_calls(monkeypatch, subblock.capacity, "materialize_type_class")
-    assert main(["cscc-capacity", "--channel", "bsc:0.1", "--b-values", "0.5",
-                 "--L", "12,64", "-o", os.devnull]) == 3
+    for command in [
+            # L = 12 is within the caps and L = 64 is not; nothing of L = 12 is built
+            "cscc-capacity --channel bsc:0.1 --b-values 0.5 --L 12,64",
+            # L = 2 is within the caps and L = 24 is not
+            "cscc-capacity --channel bsc:0.1 --b-values 0:1:0.5 --L 2,24",
+            # the classes feasible at B = 0.9 are within the caps, those at 0.5 not
+            "secc --channel bsc:0.1 --L 24 --b-values 0.5,0.9"]:
+        assert main([*command.split(), "-o", os.devnull]) == 3, command
     assert calls == []
+
+
+def test_exit_code_no_convergence(monkeypatch, capsys):
+    def diverging(*args, **kwargs):
+        raise NoConvergence("tilt bisection exhausted without matching the rate")
+
+    monkeypatch.setattr(subblock.cli, "exponent_curve", diverging)
+    assert main(["exponent", "--channel", "bsc:0.1", "--r-values", "0.1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("no convergence: ")
+    assert captured.err.count("\n") == 1
+    assert not captured.out
 
 
 def test_sweeps_compute_one_law_table_per_channel_and_length(monkeypatch):

@@ -12,7 +12,7 @@ from subblock import (Channel, Composition, DomainError, EmptyFeasibleSet,
                       feasible_compositions, materialize_type_class,
                       per_input_information, secc_capacity, secc_uniform_rate,
                       type_class_size)
-from subblock.capacity import blahut_arimoto, cscc_from_table, law_tables
+from subblock.capacity import ClassTable, blahut_arimoto, cscc_from_table
 from subblock.secc import secc_from_table
 from subblock.oracle import sequence_channel, two_input_ccc, uniform_input_rate
 
@@ -142,10 +142,10 @@ def test_secc_is_never_below_cscc_on_the_fig7_grid():
     # Blahut-Arimoto stops up to its tolerance below the best single class,
     # which README fig7 once showed as SECC below CSCC at 30 of these points
     for k in range(51):
-        table = law_tables(Channel.bsc(k / 100), (8,), 0.6)[8]
-        result = secc_from_table(table)
-        assert result.rate >= cscc_from_table(table).rate
-        assert result.rate >= max(table.rates)
+        table = ClassTable(Channel.bsc(k / 100), 8)
+        result = secc_from_table(table, 0.6)
+        assert result.rate >= cscc_from_table(table, 0.6).rate
+        assert result.rate >= max(table.rates(table.feasible(0.6)))
         assert abs(result.distribution.sum() - 1.0) <= 1e-12
 
 
