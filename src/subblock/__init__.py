@@ -29,7 +29,8 @@ from .oracle import (asymmetry_witness, cscc_composition_rate_bruteforce,
 from .secc import secc_capacity, secc_uniform_rate
 from .typeclass import (Composition, composition_count, enumerate_compositions,
                         feasible_compositions, log_type_class_size,
-                        materialize_type_class, rate_loss, type_class_size)
+                        materialize_type_class, rate_loss, type_class_blocks,
+                        type_class_size)
 
 __version__ = "0.1.0"
 

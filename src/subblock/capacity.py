@@ -26,17 +26,16 @@ from .channel import (Channel, as_distribution, conditional_entropy,
                       mutual_information)
 from .errors import DomainError, Infeasible, SizeLimit
 from .typeclass import (Composition, composition_count, enumerate_compositions,
-                        feasible_rows, log_type_class_size,
-                        materialize_type_class, type_class_size)
+                        feasible_rows, log_type_class_size, type_class_blocks,
+                        type_class_size)
 
-CLASS_CAP = 10**6          # sequences materialized per input type class
+CLASS_CAP = 10**6          # sequences per input type class; bounds time, not memory
 OUTPUT_TYPE_CAP = 10**5    # number of output type classes
 RATE_TIE_TOL = 1e-12
 _PRUNE_MARGIN = 4 * RATE_TIE_TOL  # see cscc_from_table
 NEWTON_MAX_STEPS = 500     # steps of one barrier Newton solve
 LN2 = math.log(2.0)
-_CHUNK = 1 << 16          # sequences summed per chunk
-_SLICE = 1 << 14          # (matrix, row) pairs a walk holds per level
+_BLOCK = 1 << 14          # (row, matrix) pairs a walk holds per level
 
 
 @dataclass(frozen=True)
@@ -52,11 +51,12 @@ class CapacityResult:
 
 
 def check_class_caps(output_size: int, compositions, length: int) -> None:
-    """Raise :class:`SizeLimit` from closed-form counts, before anything is
-    materialized, if an input type class exceeds ``CLASS_CAP``, the output
-    type classes of length ``length`` over ``output_size`` symbols exceed
+    """Raise :class:`SizeLimit` from closed-form counts, before any class is
+    filled, if an input type class exceeds ``CLASS_CAP``, the output type
+    classes of length ``length`` over ``output_size`` symbols exceed
     ``OUTPUT_TYPE_CAP``, or the largest of them, the most balanced, has more
-    sequences than a float holds."""
+    sequences than a float holds.  The kernel holds one block of a class at
+    a time, so ``CLASS_CAP`` bounds its time, not its memory."""
     n_out = composition_count(output_size, length)
     if n_out > OUTPUT_TYPE_CAP:
         raise SizeLimit(
@@ -86,23 +86,24 @@ def class_laws(a, compositions, length: int) -> tuple[np.ndarray, np.ndarray]:
     probability, so y_Q is taken as the canonical representative (symbols
     sorted non-decreasing).
 
-    Each class is materialized once per call and averaged in chunks of
-    ``_CHUNK`` sequences: ``laws[..., i, j]`` is the ``math.fsum`` of the
-    chunks' ``math.fsum`` of the products over their rows x, divided by
-    |T_P|.  The matrices of the stack are walked in slices of at most
-    ``max(1, _SLICE // rows)`` matrices, ``rows`` being a chunk's row count,
-    so a slice's buffer holds at most ``(min(|Y|, L) + 1) * _SLICE`` floats,
-    one row per level of the walk and a scratch row, unless one chunk alone
-    has more rows.  Within a chunk and slice, :func:`_chunk_sums` walks the
-    representatives as a prefix tree, so the partial product of a prefix
-    shared by several y_Q is computed once, and drops a row x once its
+    Each class is filled once per call, whatever the stack, in blocks of
+    ``_BLOCK`` sequences (:func:`type_class_blocks`), and only one block is
+    held at a time: ``laws[..., i, j]`` is the ``math.fsum`` of the blocks'
+    ``math.fsum`` of the products over their rows x, divided by |T_P|.  The
+    matrices of the stack are walked in slices of at most
+    ``max(1, _BLOCK // rows)`` matrices, ``rows`` being a block's row count,
+    so a walk's buffer holds at most ``(min(|Y|, L) + 1) * _BLOCK`` floats,
+    one row per level of the walk and a scratch row, whatever |T_P|.  Within
+    a block and slice, :func:`_block_sums` walks the representatives as a
+    prefix tree, so the partial product of a prefix shared by several y_Q
+    is computed once, and drops a row x once its
     partial product is exactly zero in every matrix of the slice, which
     zeros of ``a`` make it.  Both leave the values bit for bit what a
     single-matrix call gives: each kept product is still
     a(x_0, y_0) * a(x_1, y_1) * ... multiplied left to right, a dropped one
     is an exact zero, and ``math.fsum`` is correctly rounded, so leaving
     zeros out of it changes nothing.  Every cap is checked before any class
-    is materialized."""
+    is filled."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or not np.isfinite(a).all() or (a < 0.0).any():
         raise DomainError("the letter matrix must be finite and nonnegative, "
@@ -117,16 +118,13 @@ def class_laws(a, compositions, length: int) -> tuple[np.ndarray, np.ndarray]:
     sizes = np.array([float(type_class_size(q)) for q in otypes])
     laws = np.empty((len(stack), len(compositions), len(otypes)))
     for i, comp in enumerate(compositions):
-        sequences = materialize_type_class(comp, cap=CLASS_CAP)
-        n = sequences.shape[0]
-        width = max(1, _SLICE // min(n, _CHUNK))
-        for first in range(0, len(stack), width):
-            parts = [_chunk_sums(stack[first:first + width],
-                                 sequences[start:start + _CHUNK], plan)
-                     for start in range(0, n, _CHUNK)]
-            for g, chunks in enumerate(zip(*parts)):
-                laws[first + g, i] = [math.fsum(column) / n for column in zip(*chunks)]
-        del sequences   # freed before the next class is materialized
+        n = type_class_size(comp)
+        width = max(1, _BLOCK // min(n, _BLOCK))
+        parts = [np.concatenate([_block_sums(stack[first:first + width], block, plan)
+                                 for first in range(0, len(stack), width)])
+                 for block in type_class_blocks(comp, _BLOCK, CLASS_CAP)]
+        for m, blocks in enumerate(zip(*parts)):
+            laws[m, i] = [math.fsum(column) / n for column in zip(*blocks)]
     laws = laws.reshape(a.shape[:-2] + laws.shape[1:])
     sizes.setflags(write=False)
     laws.setflags(write=False)
@@ -134,7 +132,7 @@ def class_laws(a, compositions, length: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prefix_plan(otypes) -> list[tuple[int, int, int, int, int, int]]:
-    """The walk of :func:`_chunk_sums`: the prefix tree of the
+    """The walk of :func:`_block_sums`: the prefix tree of the
     representatives as runs ``(parent, level, first, stop, y, j)``, in
     visiting order.  A run's nodes take symbol ``y`` at depths ``first`` to
     ``stop - 1`` on ``level``; the first extends the products on level
@@ -171,7 +169,7 @@ def _prefix_plan(otypes) -> list[tuple[int, int, int, int, int, int]]:
     return plan
 
 
-def _chunk_sums(part: np.ndarray, block: np.ndarray, plan) -> np.ndarray:
+def _block_sums(part: np.ndarray, block: np.ndarray, plan) -> np.ndarray:
     """``sums[m, j]``: the ``math.fsum`` over the rows x of ``block`` of
     a_m(x_0, y_0) * ... * a_m(x_{L-1}, y_{L-1}) for each matrix a_m of the
     slice ``part`` and each output type j of ``plan``.
@@ -190,7 +188,7 @@ def _chunk_sums(part: np.ndarray, block: np.ndarray, plan) -> np.ndarray:
     A row whose partial product is 0 stays 0, so after a node whose column
     a(., y_d) has a zero in some matrix, the rows still nonzero in any matrix
     are moved to the front of its level's row and their indices kept (int32,
-    as rows <= ``_CHUNK``), one index array per level.  The nodes below, and
+    as rows <= ``_BLOCK``), one index array per level.  The nodes below, and
     so every representative that shares the prefix, gather and multiply only
     those rows, and the sum runs over them alone.  Columns without a zero
     are never checked, so a slice without zeros takes the walk as it was."""

@@ -8,6 +8,7 @@ module."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -83,10 +84,10 @@ def class_laws_by_sequence(a, compositions, length: int
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for :func:`~subblock.capacity.class_laws`, equal to it bit for
     bit and taking the same letter matrix ``a`` of shape ``(..., |X|, |Y|)``:
-    the same ``(sizes, laws)``, one matrix at a time, with each product
-    taken along the rows of one (chunk, L) block gathered from ``a`` by the
-    flat index x * |Y| + y, one output type at a time, and the same chunked
-    ``math.fsum`` over ``capacity._CHUNK`` sequences."""
+    the same ``(sizes, laws)``, one matrix at a time: the products along
+    the rows of the whole materialized class, gathered from ``a`` at once by
+    the flat index x * |Y| + y, one output type at a time, and summed with
+    the same blocked ``math.fsum`` over ``capacity._BLOCK`` sequences."""
     a = np.asarray(a, dtype=float)
     inputs, outputs = a.shape[-2:]
     capacity.check_class_caps(outputs, compositions, length)
@@ -95,7 +96,7 @@ def class_laws_by_sequence(a, compositions, length: int
     sizes = np.array([float(type_class_size(q)) for q in otypes])
     stack = a.reshape(-1, inputs, outputs)
     laws = np.empty((len(stack), len(compositions), len(otypes)))
-    chunk = capacity._CHUNK
+    block = capacity._BLOCK
     for i, comp in enumerate(compositions):
         sequences = materialize_type_class(comp, cap=capacity.CLASS_CAP)
         n = sequences.shape[0]
@@ -104,10 +105,37 @@ def class_laws_by_sequence(a, compositions, length: int
         for m, letters in enumerate(stack.reshape(len(stack), -1)):
             for j, rep in enumerate(reps):
                 letters.take(np.add(index, rep, out=flat), out=gathered)
-                parts = [math.fsum(gathered[start:start + chunk].prod(axis=1))
-                         for start in range(0, n, chunk)]
+                parts = [math.fsum(gathered[start:start + block].prod(axis=1))
+                         for start in range(0, n, block)]
                 laws[m, i, j] = math.fsum(parts) / n
     return sizes, laws.reshape(a.shape[:-2] + laws.shape[1:])
+
+
+def exact_binary_law(a, length: int, ones: int) -> list[Fraction]:
+    """The exact law of :func:`~subblock.capacity.class_laws` for a 2 x 2
+    letter matrix ``a`` and the input class with k = ``ones`` ones among
+    L = ``length`` symbols, in rational arithmetic and without enumerating
+    the class: entry m is the mean over the class of the product at the
+    output type with m ones,
+
+        sum_j C(m, j) C(L - m, k - j) a11^j a10^(k - j) a01^(m - j)
+              a00^(L - k - m + j) / C(L, k),
+
+    j being the positions where both the input and the output are 1.  Each
+    float entry of ``a`` converts to a :class:`~fractions.Fraction` exactly,
+    so the result carries no rounding at all."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (2, 2):
+        raise DomainError("the exact binary law needs a 2 x 2 letter matrix")
+    if not 0 <= ones <= length:
+        raise DomainError("the input class needs 0 <= ones <= length")
+    (a00, a01), (a10, a11) = [[Fraction(float(v)) for v in row] for row in a]
+    k, size = ones, math.comb(length, ones)
+    return [sum((math.comb(m, j) * math.comb(length - m, k - j) * a11 ** j
+                 * a10 ** (k - j) * a01 ** (m - j) * a00 ** (length - k - m + j)
+                 for j in range(max(0, k + m - length), min(k, m) + 1)),
+                Fraction(0)) / size
+            for m in range(length + 1)]
 
 
 def per_input_information(ch: Channel, sequences) -> np.ndarray:

@@ -14,7 +14,6 @@ from .errors import DomainError, EmptyFeasibleSet, SizeLimit
 
 ENUMERATION_CAP = 10**7
 FEASIBILITY_TOL = 1e-12
-_FILL_BLOCK = 1 << 15   # most rows whose prefix tree is grown in one piece
 LN2 = math.log(2.0)
 
 
@@ -135,42 +134,75 @@ def feasible_rows(energies, length: int, threshold: float) -> list[int]:
 def materialize_type_class(composition: Composition, cap: int = 10**6) -> np.ndarray:
     """All sequences of the type class as an (n, L) integer array, rows in
     lexicographic order.  Raises :class:`SizeLimit` above ``cap`` rows."""
-    n = type_class_size(composition)
-    if n > cap:
-        raise SizeLimit(f"type class has {n} sequences, above the cap of {cap}")
-    dtype = np.int16 if composition.alphabet_size > 127 else np.int8
+    n, dtype = _class_rows(composition, cap)
     out = np.empty((n, composition.length), dtype=dtype)
-    _fill_type_class(out, composition.counts)
+    _fill_rows(out, composition.counts, 0, n)
     out.setflags(write=False)
     return out
 
 
-def _fill_type_class(out: np.ndarray, counts) -> None:
-    """Write the type class of ``counts`` into ``out`` in lexicographic order.
+def type_class_blocks(composition: Composition, rows: int, cap: int = 10**6):
+    """The type class in lexicographic order as consecutive blocks of
+    ``rows`` rows (the last may be shorter), each filled once into one
+    reused integer buffer and yielded as a read-only view of it, valid until
+    the next block is asked for.  So the memory held is one block whatever
+    the class's size.  Raises :class:`SizeLimit` above ``cap`` rows, before
+    anything is filled."""
+    n, dtype = _class_rows(composition, cap)
+    buffer = np.empty((min(n, rows), composition.length), dtype=dtype)
+    for start in range(0, n, rows):
+        block = buffer[:n - start]
+        _fill_rows(block, composition.counts, start, n)
+        block.setflags(write=False)
+        yield block
+
+
+def _class_rows(composition: Composition, cap: int) -> tuple[int, type]:
+    """The row count of the type class and the integer type of its symbols,
+    after checking the count against ``cap``."""
+    n = type_class_size(composition)
+    if n > cap:
+        raise SizeLimit(f"type class has {n} sequences, above the cap of {cap}")
+    return n, np.int16 if composition.alphabet_size > 127 else np.int8
+
+
+def _fill_rows(out: np.ndarray, counts, start: int, n: int) -> None:
+    """Write rows ``start`` to ``start + len(out)`` of the type class of
+    ``counts``, which has ``n`` rows, into ``out`` in lexicographic order.
 
     The rows are the leaves of the prefix tree, which is grown one column at
     a time: ``np.nonzero`` over the (prefixes, symbols) table of remaining
     counts lists each prefix's children in lexicographic order, and a child
     that takes symbol s from a prefix with m symbols left heads
-    rows(prefix) * remaining[s] / m consecutive rows, so the column is its
-    symbols repeated that many times.  A class above ``_FILL_BLOCK`` rows is
-    split on its first symbol, which bounds the tree's working memory."""
-    n, length = out.shape
-    if n > _FILL_BLOCK:
-        start = 0
-        for symbol, count in enumerate(counts):
-            if count:
-                rest = counts[:symbol] + (count - 1,) + counts[symbol + 1:]
-                stop = start + n * count // length
-                out[start:stop, 0] = symbol
-                _fill_type_class(out[start:stop, 1:], rest)
-                start = stop
-        return
+    rows(prefix) * remaining[s] / m consecutive rows.  Only the children
+    whose rows meet the range are kept, and the first and the last are cut
+    to it, so the column is their symbols repeated that many times and the
+    working memory is a few integers per row of ``out``."""
+    length = out.shape[1]
+    stop = start + len(out)
     remaining = np.array([counts], dtype=np.min_scalar_type(length))
     rows = np.array([n])
+    first = 0                       # the first row of the first prefix kept
     for column in range(length):
         prefix, symbol = np.nonzero(remaining)
-        rows = rows[prefix] * remaining[prefix, symbol] // (length - column)
+        rows = rows[prefix]
+        rows *= remaining[prefix, symbol]
+        rows //= length - column
+        if len(out) == n:
+            shown = rows            # the rows of each child inside the range
+        else:
+            ends = np.cumsum(rows)
+            ends += first
+            low = np.searchsorted(ends, start, "right")
+            high = np.searchsorted(ends, stop, "left") + 1
+            first, last = int(ends[low] - rows[low]), int(ends[high - 1])
+            del ends
+            prefix, symbol, rows = prefix[low:high], symbol[low:high], rows[low:high].copy()
+            shown = rows.copy()
+            shown[0] -= start - first
+            shown[-1] -= last - stop
+        out[:, column] = np.repeat(symbol.astype(out.dtype), shown)
+        del shown                   # each array is freed as soon as it is used
         remaining = remaining[prefix]
         remaining[np.arange(prefix.size), symbol] -= 1
-        out[:, column] = np.repeat(symbol.astype(out.dtype), rows)
+        del prefix, symbol

@@ -392,34 +392,41 @@ def test_only_the_kernel_materializes_type_classes():
                 continue
             for node in ast.walk(func):
                 callee = getattr(node, "func", None)
-                if getattr(callee, "id", getattr(callee, "attr", None)) == \
-                        "materialize_type_class":
-                    callers.append((name, func.name))
-    assert callers == [("capacity.py", "class_laws")]
+                called = getattr(callee, "id", getattr(callee, "attr", None))
+                if called in ("materialize_type_class", "type_class_blocks"):
+                    callers.append((name, func.name, called))
+    assert callers == [("capacity.py", "class_laws", "type_class_blocks")]
 
 
 def trace_walks(monkeypatch):
-    """Record, for each ``_chunk_sums`` call under ``tracemalloc``, the traced
-    memory at its start and the peak the walk adds above it.  The class's
-    own materialization peaks higher than a walk, so the walk is measured
-    on its own."""
+    """Record, for each ``_block_sums`` call under ``tracemalloc``, the traced
+    memory at its start and the peak the walk adds above it."""
     walks = []
-    chunk_sums = subblock.capacity._chunk_sums
+    block_sums = subblock.capacity._block_sums
 
     def traced(part, block, plan):
         entry = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        sums = chunk_sums(part, block, plan)
+        sums = block_sums(part, block, plan)
         walks.append((entry, tracemalloc.get_traced_memory()[1] - entry))
         return sums
 
-    monkeypatch.setattr(subblock.capacity, "_chunk_sums", traced)
+    monkeypatch.setattr(subblock.capacity, "_block_sums", traced)
     return walks
 
 
+def block_bound(output_size, length, block=subblock.capacity._BLOCK):
+    """What the kernel may hold above its caller, whatever the class's size:
+    one int8 block of the class, and either the block's filling, five int64
+    per row, or the walk's buffer, a float64 row of the block per level and
+    a scratch row, twice over for the gather's and the pruning's index
+    arrays.  The filling and the walk do not overlap."""
+    return block * (length + 8 * max(5, 2 * (min(output_size, length) + 1)))
+
+
 def test_kernel_holds_one_chunk_block_at_a_time(monkeypatch):
-    # 12,870 sequences span four chunks of 4,096
-    monkeypatch.setattr(subblock.capacity, "_CHUNK", 4096)
+    # 12,870 sequences span four blocks of 4,096
+    monkeypatch.setattr(subblock.capacity, "_BLOCK", 4096)
     comp = Composition((8, 8))
     cscc_composition_rate(bsc(0.1), comp)
     walks = trace_walks(monkeypatch)
@@ -428,14 +435,15 @@ def test_kernel_holds_one_chunk_block_at_a_time(monkeypatch):
         cscc_composition_rate(bsc(0.1), comp)
     finally:
         tracemalloc.stop()
-    sequences = type_class_size(comp) * comp.length      # int8
+    rows = 4096 * comp.length                            # one int8 block
     # one float64 row per output symbol and a scratch row, not one per depth
-    block = (min(2, comp.length) + 1) * 4096 * 8
+    buffer = (min(2, comp.length) + 1) * 4096 * 8
     assert len(walks) == 4
-    # the class and the chunk sums so far, but no block of an earlier chunk
-    assert all(entry < sequences + 0.5 * block for entry, _ in walks)
-    # one block, with room for the gather's index buffer
-    assert all(walk < 1.75 * block for _, walk in walks)
+    # one block of the class and the block sums so far, but neither the
+    # whole class nor the buffer of an earlier block
+    assert all(entry < rows + 0.5 * buffer for entry, _ in walks)
+    # one buffer, with room for the gather's index buffer
+    assert all(walk < 1.75 * buffer for _, walk in walks)
 
 
 def assert_kernel_frees_each_class_and_buffer(ch, monkeypatch):
@@ -451,17 +459,34 @@ def assert_kernel_frees_each_class_and_buffer(ch, monkeypatch):
     finally:
         tracemalloc.stop()
         gc.enable()
-    rows = max(type_class_size(comp) for comp in classes)
-    larger_class = rows * 16                              # int8
+    rows = min(max(type_class_size(comp) for comp in classes), subblock.capacity._BLOCK)
+    block = rows * 16                                     # int8, one block
     # one (min(|Y|, L) + 1, rows) float64 buffer: a row per level and a scratch row
     buffer = (min(ch.output_size, 16) + 1) * rows * 8
     assert current - baseline < 64 * 1024
     assert len(walks) == 2
-    # a class or a buffer kept alive into the next class would show here
-    assert all(entry - baseline < larger_class + 64 * 1024 for entry, _ in walks)
+    # a block or a buffer kept alive into the next class would show here
+    assert all(entry - baseline < block + 64 * 1024 for entry, _ in walks)
     # the buffer, with room for the gather's and the pruning's index arrays,
     # but not for a row per depth
     assert all(walk < 2 * buffer for _, walk in walks)
+
+
+@pytest.mark.parametrize("counts", [(8, 8), (9, 9), (10, 10)])
+def test_kernel_memory_does_not_grow_with_the_class(counts):
+    # 12,870, 48,620 and 184,756 sequences: one, three and twelve blocks
+    comp = Composition(counts)
+    class_laws(bsc(0.1).w, [comp], comp.length)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        class_laws(bsc(0.1).w, [comp], comp.length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak - baseline < block_bound(2, comp.length)
 
 
 def test_kernel_frees_each_class_and_buffer(monkeypatch):

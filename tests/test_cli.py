@@ -281,16 +281,23 @@ def recorded_calls(monkeypatch, module, name):
 
 
 def test_caps_of_every_length_are_checked_before_any_work(monkeypatch):
-    calls = recorded_calls(monkeypatch, subblock.capacity, "materialize_type_class")
-    for command in [
+    calls = recorded_calls(monkeypatch, subblock.capacity, "type_class_blocks")
+    for command, bounded in [
             # L = 12 is within the caps and L = 64 is not; nothing of L = 12 is built
-            "cscc-capacity --channel bsc:0.1 --b-values 0.5 --L 12,64",
+            ("cscc-capacity --channel bsc:0.1 --b-values 0.5 --L 12,64",
+             "cscc-capacity --channel bsc:0.1 --b-values 0.5 --L 12"),
             # L = 2 is within the caps and L = 24 is not
-            "cscc-capacity --channel bsc:0.1 --b-values 0:1:0.5 --L 2,24",
+            ("cscc-capacity --channel bsc:0.1 --b-values 0:1:0.5 --L 2,24",
+             "cscc-capacity --channel bsc:0.1 --b-values 0:1:0.5 --L 2"),
             # the classes feasible at B = 0.9 are within the caps, those at 0.5 not
-            "secc --channel bsc:0.1 --L 24 --b-values 0.5,0.9"]:
+            ("secc --channel bsc:0.1 --L 24 --b-values 0.5,0.9",
+             "secc --channel bsc:0.1 --L 24 --b-values 0.9")]:
         assert main([*command.split(), "-o", os.devnull]) == 3, command
-    assert calls == []
+        assert calls == [], command
+        # the same sweep within the caps: the hook sees the classes it fills
+        assert main([*bounded.split(), "-o", os.devnull]) == 0, bounded
+        assert calls, bounded
+        calls.clear()
 
 
 def test_exit_code_no_convergence(monkeypatch, capsys):
@@ -331,7 +338,7 @@ def test_sweeps_compute_one_law_table_per_channel_and_length(monkeypatch):
 def test_cscc_capacity_computes_only_the_classes_its_bound_keeps(monkeypatch):
     # README fig4: 12 of the 44 feasible classes over its eight lengths; at
     # L = 16 only (8, 8) and (7, 9)
-    calls = recorded_calls(monkeypatch, subblock.capacity, "materialize_type_class")
+    calls = recorded_calls(monkeypatch, subblock.capacity, "type_class_blocks")
     assert main([*README_COMMANDS["fig4.csv"].split(), "-o", os.devnull]) == 0
     assert len(calls) == 12 and len(set(calls)) == 12
     assert [comp.counts for comp in calls if comp.length == 16] == [(8, 8), (7, 9)]

@@ -7,6 +7,7 @@ capacities."""
 import gc
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from subblock import (Channel, Composition, capacity_power, class_laws,
                       secc_uniform_rate, sphere_packing_solution,
                       tilted_fixed_point, type_class_size)
 from subblock.capacity import RATE_TIE_TOL
-from subblock.oracle import class_laws_by_sequence
+from subblock.oracle import class_laws_by_sequence, exact_binary_law
 
 TERNARY = Channel([[0.8, 0.15, 0.05],
                    [0.1, 0.7, 0.2],
@@ -228,11 +229,42 @@ def assert_kernel_matches_the_per_sequence_route(ch, classes, length):
                          ids=[case[0] for case in KERNEL_CASES])
 def test_kernel_matches_the_per_sequence_route(ch, length, counts, chunk, monkeypatch):
     if chunk is not None:
-        # (8, 8)'s 12,870 sequences span four chunks, (5, 4, 3)'s 27,720 seven
-        monkeypatch.setattr(subblock.capacity, "_CHUNK", chunk)
+        # (8, 8)'s 12,870 sequences span four blocks, (5, 4, 3)'s 27,720 seven
+        monkeypatch.setattr(subblock.capacity, "_BLOCK", chunk)
     classes = enumerate_compositions(ch.input_size, length) if counts is None \
         else [Composition(c) for c in counts]
     assert_kernel_matches_the_per_sequence_route(ch, classes, length)
+
+
+@pytest.mark.parametrize("ch", [Channel.bsc(0.1), Channel.z(0.3)], ids=["bsc", "z"])
+@pytest.mark.parametrize("counts", [(9, 9), (10, 10), (14, 6)])
+def test_kernel_is_within_rounding_of_the_exact_law(ch, counts):
+    # 48,620, 184,756 and 38,760 sequences, summed in 3, 12 and 3 blocks.
+    # Each product of L letters carries at most L - 1 roundings, the sum of
+    # each block and the sum of the blocks one each, and the division one:
+    # (L + 2) units of 2**-53, so (L + 3) holds with room to spare.
+    length, ones = sum(counts), counts[1]
+    exact = exact_binary_law(ch.w, length, ones)
+    law = class_laws(ch.w, [Composition(counts)], length)[1][0]
+    tol = Fraction(length + 3, 2**53)
+    # the j-th output type of enumerate_compositions order, (j, L - j), has
+    # L - j ones
+    for j, p_y in enumerate(law.tolist()):
+        want = exact[length - j]
+        assert abs(Fraction(p_y) - want) <= tol * want, j
+
+
+@pytest.mark.parametrize("a", [Channel.bsc(0.1).w, Channel.z(0.3).w,
+                               Channel.bsc(0.1).w ** 0.5, [[0.3, 2.5], [0.0, 1.0]]],
+                         ids=["bsc", "z", "bsc-root", "not-stochastic"])
+@pytest.mark.parametrize("length, ones", [(1, 0), (1, 1), (9, 4), (20, 6), (20, 10)])
+def test_exact_binary_law_sums_to_the_row_sums(a, length, ones):
+    # summed over every output sequence, the mean product factors into one
+    # row sum of a per input symbol
+    exact = exact_binary_law(a, length, ones)
+    s0, s1 = (sum(map(Fraction, row)) for row in np.asarray(a, dtype=float).tolist())
+    assert sum(math.comb(length, m) * law for m, law in enumerate(exact)) \
+        == s0 ** (length - ones) * s1 ** ones
 
 
 def test_kernel_matches_the_per_sequence_route_on_a_long_sparse_class():
@@ -339,7 +371,7 @@ def test_stacked_kernel_over_several_slices():
     # 3,432 sequences leave room for four matrices per slice, so the ten
     # matrices (in a 2 x 5 stack) take three slices
     stack = np.stack([Channel.bec(eps).w for eps in np.linspace(0.0, 1.0, 10)])
-    width = subblock.capacity._SLICE // type_class_size(Composition((7, 7)))
+    width = subblock.capacity._BLOCK // type_class_size(Composition((7, 7)))
     assert width == 4
     assert_each_member_matches(stack.reshape(2, 5, 2, 3), [Composition((7, 7))], 14)
 
@@ -349,9 +381,9 @@ def test_stacked_kernel_over_several_slices():
      Channel.bsc(0.1).w ** 0.5],
     [Channel.bec(eps).w for eps in (0.0, 0.3, 1.0)]], ids=["binary", "bec"])
 def test_stacked_kernel_over_several_chunks(matrices, monkeypatch):
-    # (8, 8)'s 12,870 sequences span four chunks of 4,096, and four matrices
-    # fit in a slice
-    monkeypatch.setattr(subblock.capacity, "_CHUNK", 4096)
+    # (8, 8)'s 12,870 sequences span four blocks of 4,096, each walked for
+    # every matrix, one matrix per slice
+    monkeypatch.setattr(subblock.capacity, "_BLOCK", 4096)
     assert_each_member_matches(np.stack(matrices), [Composition((8, 8))], 16)
 
 
@@ -369,9 +401,10 @@ def test_stacked_kernel_holds_one_slice_buffer_at_a_time():
         tracemalloc.stop()
         gc.enable()
     rows = type_class_size(comp)
-    width = subblock.capacity._SLICE // rows                  # 4 of the 12 matrices
-    sequences = rows * comp.length                            # int8
-    buffer = comp.length * width * rows * 8                   # one slice's float64 buffer
+    width = subblock.capacity._BLOCK // rows                  # 4 of the 12 matrices
+    block = rows * comp.length                                # int8: the class is one block
+    # one slice's float64 buffer: a row per level and a scratch row
+    buffer = (min(stack.shape[-1], comp.length) + 1) * width * rows * 8
     assert current - baseline < 64 * 1024
     # a second slice's buffer, or one buffer for the whole stack, would exceed this
-    assert peak - baseline < sequences + 1.5 * buffer
+    assert peak - baseline < block + 1.5 * buffer

@@ -65,13 +65,13 @@ def test_super_alphabet_size():
 
 def test_caps_fail_before_any_class_is_materialized(monkeypatch):
     calls = []
-    original = subblock.capacity.materialize_type_class
+    original = subblock.capacity.type_class_blocks
 
-    def recording(composition, cap=10**6):
+    def recording(composition, *args, **kwargs):
         calls.append(composition.counts)
-        return original(composition, cap=cap)
+        return original(composition, *args, **kwargs)
 
-    monkeypatch.setattr(subblock.capacity, "materialize_type_class", recording)
+    monkeypatch.setattr(subblock.capacity, "type_class_blocks", recording)
     ch = Channel.bsc(0.1)
     # (4, 60) is within the class cap and listed before (5, 59), which is not
     for capacity in (cscc_capacity, secc_capacity, secc_uniform_rate):
@@ -80,6 +80,11 @@ def test_caps_fail_before_any_class_is_materialized(monkeypatch):
     with pytest.raises(SizeLimit, match="output type classes"):
         secc_capacity(Channel(np.full((2, 20), 0.05), (0.0, 1.0)), 8, 0.5)
     assert calls == []
+    # within the caps, the hook sees every class filled
+    for capacity in (cscc_capacity, secc_capacity, secc_uniform_rate):
+        capacity(ch, 4, 0.5)
+        assert calls, capacity.__name__
+        calls.clear()
 
 
 def test_output_type_cap_at_default():

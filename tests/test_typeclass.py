@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import subblock.typeclass
 from subblock import (Channel, Composition, DomainError, EmptyFeasibleSet,
                       SizeLimit, composition_count, enumerate_compositions,
                       feasible_compositions, log_type_class_size,
-                      materialize_type_class, rate_loss, type_class_size)
+                      materialize_type_class, rate_loss, type_class_blocks,
+                      type_class_size)
 
 
 def test_enumeration_examples():
@@ -139,19 +139,14 @@ def lexicographic_class(counts):
             if all(t.count(x) == c for x, c in enumerate(counts))]
 
 
-def test_materialize_type_class(monkeypatch):
+def test_materialize_type_class():
     rows = materialize_type_class(Composition((2, 1)))
     assert rows.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
-    # a block of 8 rows makes the classes of 10, 60 and 34,650 rows split on
-    # their leading symbols, as classes above the default block are
     for counts in ((2, 1), (3, 0, 2), (5,), (0, 4), (3, 2, 1), (4, 4, 4)):
-        expected = lexicographic_class(counts)
-        for block in (10**6, 8):
-            monkeypatch.setattr(subblock.typeclass, "_FILL_BLOCK", block)
-            rows = materialize_type_class(Composition(counts))
-            assert [tuple(r) for r in rows.tolist()] == expected
-            assert rows.dtype == np.int8 and rows.shape[1] == sum(counts)
-            assert rows.flags.c_contiguous and not rows.flags.writeable
+        rows = materialize_type_class(Composition(counts))
+        assert [tuple(r) for r in rows.tolist()] == lexicographic_class(counts)
+        assert rows.dtype == np.int8 and rows.shape[1] == sum(counts)
+        assert rows.flags.c_contiguous and not rows.flags.writeable
     wide = materialize_type_class(Composition((0,) * 200 + (1, 1)))
     assert wide.dtype == np.int16 and wide.tolist() == [[200, 201], [201, 200]]
     # 184,756 rows of 20 symbols: the cap is checked before anything is built
@@ -163,6 +158,41 @@ def test_materialize_type_class(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("counts", [(2, 1), (3, 0, 2), (5,), (0, 4), (3, 2, 1),
+                                    (2, 2, 2, 1), (4, 4, 4)])
+def test_type_class_blocks_cut_the_class_in_order(counts):
+    expected = lexicographic_class(counts)
+    # one row, a few rows, rows that cut a subtree at every depth, and one
+    # block for the whole class
+    for rows in (1, 3, 7, 8, 1000, 10**6):
+        blocks, buffers = [], set()
+        for block in type_class_blocks(Composition(counts), rows):
+            assert block.dtype == np.int8 and block.shape[1] == sum(counts)
+            assert not block.flags.writeable
+            buffers.add(id(block.base))
+            blocks.extend(tuple(r) for r in block.tolist())
+        assert blocks == expected, rows
+        # one buffer, reused by every block
+        assert len(buffers) == 1
+
+
+def test_type_class_blocks_hold_one_block():
+    # 184,756 rows of 20 symbols, in blocks of 1,000: the whole class is
+    # 3.7 MB, one block 20 KB with a few int64 per row to fill it
+    comp = Composition((10, 10))
+    blocks = type_class_blocks(comp, 1000)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 185
+    assert peak < 1000 * (20 + 6 * 8) + 16 * 1024
+    with pytest.raises(SizeLimit):
+        next(type_class_blocks(comp, 1000, cap=100))
 
 
 def test_composition_validation():
