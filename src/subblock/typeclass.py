@@ -133,12 +133,10 @@ def feasible_rows(energies, length: int, threshold: float) -> list[int]:
 
 def materialize_type_class(composition: Composition, cap: int = 10**6) -> np.ndarray:
     """All sequences of the type class as an (n, L) integer array, rows in
-    lexicographic order.  Raises :class:`SizeLimit` above ``cap`` rows."""
-    n, dtype = _class_rows(composition, cap)
-    out = np.empty((n, composition.length), dtype=dtype)
-    _fill_rows(out, composition.counts, 0, n)
-    out.setflags(write=False)
-    return out
+    lexicographic order: the one block of :func:`type_class_blocks` with
+    ``cap`` rows.  Raises :class:`SizeLimit` above ``cap`` rows."""
+    whole, = type_class_blocks(composition, cap, cap)
+    return whole
 
 
 def type_class_blocks(composition: Composition, rows: int, cap: int = 10**6):
@@ -148,22 +146,16 @@ def type_class_blocks(composition: Composition, rows: int, cap: int = 10**6):
     the next block is asked for.  So the memory held is one block whatever
     the class's size.  Raises :class:`SizeLimit` above ``cap`` rows, before
     anything is filled."""
-    n, dtype = _class_rows(composition, cap)
+    n = type_class_size(composition)
+    if n > cap:
+        raise SizeLimit(f"type class has {n} sequences, above the cap of {cap}")
+    dtype = np.int16 if composition.alphabet_size > 127 else np.int8
     buffer = np.empty((min(n, rows), composition.length), dtype=dtype)
     for start in range(0, n, rows):
         block = buffer[:n - start]
         _fill_rows(block, composition.counts, start, n)
         block.setflags(write=False)
         yield block
-
-
-def _class_rows(composition: Composition, cap: int) -> tuple[int, type]:
-    """The row count of the type class and the integer type of its symbols,
-    after checking the count against ``cap``."""
-    n = type_class_size(composition)
-    if n > cap:
-        raise SizeLimit(f"type class has {n} sequences, above the cap of {cap}")
-    return n, np.int16 if composition.alphabet_size > 127 else np.int8
 
 
 def _fill_rows(out: np.ndarray, counts, start: int, n: int) -> None:
@@ -174,30 +166,32 @@ def _fill_rows(out: np.ndarray, counts, start: int, n: int) -> None:
     a time: ``np.nonzero`` over the (prefixes, symbols) table of remaining
     counts lists each prefix's children in lexicographic order, and a child
     that takes symbol s from a prefix with m symbols left heads
-    rows(prefix) * remaining[s] / m consecutive rows.  Only the children
-    whose rows meet the range are kept, and the first and the last are cut
-    to it, so the column is their symbols repeated that many times and the
-    working memory is a few integers per row of ``out``."""
+    rows(prefix) * remaining[s] / m consecutive rows.  While the prefixes
+    kept reach past the range, only the children whose rows meet it are
+    kept, and the first and the last are cut to it; once they span it
+    exactly, as a whole class's do from the root, there is nothing left to
+    cut.  So the column is the kept children's symbols repeated that many
+    times, and the working memory is a few integers per row of ``out``."""
     length = out.shape[1]
     stop = start + len(out)
     remaining = np.array([counts], dtype=np.min_scalar_type(length))
     rows = np.array([n])
-    first = 0                       # the first row of the first prefix kept
+    edges = np.array([start, stop - 1])     # the first and last row of out
+    first, last = 0, n              # the rows under the prefixes kept
     for column in range(length):
         prefix, symbol = np.nonzero(remaining)
         rows = rows[prefix]
         rows *= remaining[prefix, symbol]
         rows //= length - column
-        if len(out) == n:
-            shown = rows            # the rows of each child inside the range
-        else:
-            ends = np.cumsum(rows)
+        shown = rows                # the rows of each child inside the range
+        if first < start or last > stop:
+            ends = rows.cumsum()
             ends += first
-            low = np.searchsorted(ends, start, "right")
-            high = np.searchsorted(ends, stop, "left") + 1
+            low, high = ends.searchsorted(edges, "right").tolist()
+            high += 1
             first, last = int(ends[low] - rows[low]), int(ends[high - 1])
             del ends
-            prefix, symbol, rows = prefix[low:high], symbol[low:high], rows[low:high].copy()
+            prefix, symbol, rows = prefix[low:high], symbol[low:high], rows[low:high]
             shown = rows.copy()
             shown[0] -= start - first
             shown[-1] -= last - stop
