@@ -474,88 +474,132 @@ def blahut_arimoto(w: np.ndarray, *, tol_nats: float = 1e-12,
     return p, info, iterations, gap
 
 
-def barrier_newton(w: np.ndarray, *, tol_nats: float, p_init: np.ndarray | None = None,
-                   bonus: np.ndarray | None = None,
-                   energy: tuple[np.ndarray, float] | None = None):
-    """Maximize I(p, W) + p . bonus over input priors by Newton steps on a
-    log barrier: the optimizer of :func:`capacity_power`, and the finish of
-    :func:`subblock.secc.secc_capacity` where :func:`blahut_arimoto` stalls
-    (its linear rate tends to one when the channel is nearly useless and some
-    optimal weights are small).
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two ``(k, n)`` stacks, bit for bit ``a[i] @ b[i]``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    The start is ``p_init`` (default uniform) blended halfway toward uniform.
-    With ``energy = (b, B)`` the priors are also held to p . b = B, and the
-    start is blended on toward the symbol of largest (or smallest) energy
-    until it meets that hyperplane.
+
+def barrier_newton(objective, start: np.ndarray, *, tol_nats: float,
+                   energy: tuple[np.ndarray, float] | None = None):
+    """Maximize a concave f over the simplex by Newton steps on a log
+    barrier, for each row of the ``(k, n)`` stack ``start`` at once.
+
+    ``objective(p, members, hessian=False)`` gets the priors of the members
+    ``members`` (rows of ``start``) and returns their gradients of f, which
+    may be off by a constant, and with ``hessian`` also their scaled
+    Hessians -diag(p) H(f) diag(p).  A member starts at its row blended
+    halfway toward uniform.  With ``energy = (b, B)``, for a stack of one,
+    the prior is also held to p . b = B, and the start is blended on toward
+    the symbol of largest (or smallest) energy until it meets that hyperplane.
+
     Each step solves the equality-constrained Newton (KKT) system of
-    F(p) + mu * sum(log p), F having Hessian -W diag(1/pW) W^T, and mu falls
-    tenfold once the step's decrement is below mu / 4.  The energy row's
-    multiplier gives lam >= 0, and the stopping rule is the weak-duality gap
-    max_x (d_x + bonus_x + lam b_x) - p . (d + bonus) - lam B, which bounds
-    the distance to the maximum (lam = 0 without ``energy``: the
-    :func:`blahut_arimoto` gap).  The return value has the shape of
-    :func:`blahut_arimoto`'s, with Newton steps (at most
-    ``NEWTON_MAX_STEPS``) in place of iterations.
+    f(p) + mu * sum(log p) in the scaled step, and mu falls tenfold once the
+    step's decrement is below mu / 4.  The energy row's multiplier gives
+    lam >= 0, and the stopping rule is the Frank-Wolfe (weak-duality) gap
+    max_x (g_x + lam b_x) - p . g - lam B, which bounds f(p*) - f(p) by
+    concavity; without ``energy`` it is tested before any KKT system is
+    built.  A member leaves once its gap is <= ``tol_nats``, and its
+    arithmetic is that of a solve of its row alone.  Returns the priors,
+    Newton steps and gaps, per member; after ``NEWTON_MAX_STEPS`` steps a
+    member is returned as it stands.
     """
-    w = np.asarray(w, dtype=float)
-    n = w.shape[0]
-    bonus = np.zeros(n) if bonus is None else np.asarray(bonus, dtype=float)
-    evaluate = _divergences(w)
-    start = np.full(n, 1.0 / n) if p_init is None else np.asarray(p_init, dtype=float)
+    k, n = start.shape
     p = 0.5 * start + 0.5 / n   # strictly inside
     rows, level = np.ones((1, n)), np.ones(1)
-    b, threshold = np.zeros(n), 0.0
     if energy is not None:
         b, threshold = np.asarray(energy[0], dtype=float), float(energy[1])
-        k = int(np.argmax(b)) if p @ b <= threshold else int(np.argmin(b))
-        theta = (threshold - p @ b) / (b[k] - p @ b)
-        p *= 1.0 - theta
-        p[k] += theta
+        j = int(np.argmax(b)) if p[0] @ b <= threshold else int(np.argmin(b))
+        theta = (threshold - p[0] @ b) / (b[j] - p[0] @ b)
+        p[0] *= 1.0 - theta
+        p[0, j] += theta
         # centred, the energy row stays independent of the first even
         # where p is nearly a vertex
         rows, level = np.vstack([rows, b - threshold]), np.array([1.0, 0.0])
-    m = rows.shape[0]
-    kkt = np.zeros((n + m, n + m))
-    pw, d = evaluate(p)
+    m, eye = rows.shape[0], np.eye(n)
+    out, steps, gaps = np.empty_like(p), np.zeros(k, dtype=int), np.empty(k)
+    members = np.arange(k)
+    g = objective(p, members)
+    gap = np.maximum.reduce(g, 1) - _dots(p, g)
     # positive, or the system is singular on a useless channel
-    mu = max(float((d + bonus).max() - p @ (d + bonus)) / n, tol_nats)
-    steps = 0
+    mu = np.maximum(gap / n, tol_nats)
+    taken = 0
     while True:
-        score = d + bonus
-        grad = score + mu / p
+        if energy is None:
+            done = (gap <= tol_nats) | (taken == NEWTON_MAX_STEPS)
+            if done.any():     # the members still running are written again later
+                out[members], steps[members], gaps[members] = p, taken, gap
+                if done.all():
+                    return out, steps, gaps
+                members, p, g, mu = members[~done], p[~done], g[~done], mu[~done]
+        g, hessian = objective(p, members, hessian=True)
+        grad = g + mu[:, None] / p
         # The system in the scaled step p * s is well conditioned even where
         # some weights are tiny; its last rows also undo rounding drift off
         # the constraints.
-        root = p[:, None] * w / np.sqrt(np.maximum(pw, 1e-300))[None, :]
-        kkt[:n, :n] = root @ root.T + mu * np.eye(n)
-        kkt[n:, :n] = rows * p
-        kkt[:n, n:] = kkt[n:, :n].T
-        solution = np.linalg.solve(kkt, np.concatenate([p * grad, level - rows @ p]))
-        lam = max(-float(solution[-1]), 0.0) if energy is not None else 0.0
-        gap = float((score + lam * b).max() - p @ score - lam * threshold)
-        if gap <= tol_nats or steps == NEWTON_MAX_STEPS:
-            return p, float(p @ d), steps, gap
-        steps += 1
-        step = p * solution[:n]
-        decrement = float(grad @ step)
+        kkt = np.zeros((len(p), n + m, n + m))
+        kkt[:, :n, :n] = hessian + mu[:, None, None] * eye
+        kkt[:, n:, :n] = rows * p[:, None, :]
+        kkt[:, :n, n:] = kkt[:, n:, :n].transpose(0, 2, 1)
+        rhs = np.concatenate([p * grad, level - np.matmul(rows, p[:, :, None])[:, :, 0]], 1)
+        solution = np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
+        if energy is not None:
+            lam = max(-float(solution[0, -1]), 0.0)
+            gap = float((g[0] + lam * b).max() - p[0] @ g[0] - lam * threshold)
+            if gap <= tol_nats or taken == NEWTON_MAX_STEPS:
+                return p, np.array([taken]), np.array([gap])
+        taken += 1
+        step = p * solution[:, :n]
+        decrement = _dots(grad, step)
         # Slopes within this bound of zero are rounding noise: where the
         # constraints pin p (two inputs and an energy row) the step itself is.
-        noise = 1e-12 * float(np.abs(grad) @ p)
-        shrink = step < 0.0
-        t = min(1.0, 0.99 * float(np.min(-p[shrink] / step[shrink]))) if shrink.any() else 1.0
+        noise = 1e-12 * _dots(np.absolute(grad), p)
+        reach = np.divide(-p, step, out=np.full_like(p, np.inf), where=step < 0.0)
+        t = np.minimum(1.0, 0.99 * np.minimum.reduce(reach, 1))
         # The barrier objective is concave along the step, so it rises up to
         # any t at which its slope is still non-negative.  Testing the slope
         # rather than the value stays exact near the optimum, where changes
         # of the value fall below rounding.
-        for _ in range(60):
-            trial = p + t * step
-            trial_pw, trial_d = evaluate(trial)
-            if (trial_d + bonus + mu / trial) @ step >= -noise:
+        trial = p + t[:, None] * step
+        g = objective(trial, members)
+        search = np.flatnonzero(_dots(g + mu[:, None] / trial, step) < -noise)
+        for _ in range(59):     # 60 trials in all
+            if not search.size:
                 break
-            t *= 0.5
-        p, pw, d = trial, trial_pw, trial_d
-        if decrement <= 0.25 * mu:
-            mu *= 0.1
+            t[search] *= 0.5
+            trial[search] = p[search] + t[search, None] * step[search]
+            g[search] = objective(trial[search], members[search])
+            slope = _dots(g[search] + mu[search, None] / trial[search], step[search])
+            search = search[slope < -noise[search]]
+        p = trial
+        mu = np.where(decrement <= 0.25 * mu, mu * 0.1, mu)
+        gap = np.maximum.reduce(g, 1) - _dots(p, g)
+
+
+def maximize_information(w: np.ndarray, *, tol_nats: float, p_init: np.ndarray | None = None,
+                         bonus: np.ndarray | None = None,
+                         energy: tuple[np.ndarray, float] | None = None):
+    """Maximize I(p, W) + p . bonus over input priors by :func:`barrier_newton`
+    from ``p_init`` (default uniform): the optimizer of :func:`capacity_power`,
+    and the finish of :func:`subblock.secc.secc_capacity` where
+    :func:`blahut_arimoto` stalls.  The gradient is d + bonus, d[x] =
+    D(W(.|x) || pW) in nats, the scaled Hessian diag(p) W diag(1/pW) W^T
+    diag(p), and the return value that of :func:`blahut_arimoto`, with
+    Newton steps in place of iterations."""
+    w = np.asarray(w, dtype=float)
+    n = w.shape[0]
+    bonus = np.zeros(n) if bonus is None else np.asarray(bonus, dtype=float)
+    evaluate = _divergences(w)
+
+    def objective(p, members, hessian=False):
+        pw, d = evaluate(p[0])
+        if not hessian:
+            return (d + bonus)[None]
+        root = p[0][:, None] * w / np.sqrt(np.maximum(pw, 1e-300))[None, :]
+        return (d + bonus)[None], (root @ root.T)[None]
+
+    start = np.full(n, 1.0 / n) if p_init is None else np.asarray(p_init, dtype=float)
+    p, steps, gaps = barrier_newton(objective, start[None], tol_nats=tol_nats, energy=energy)
+    return p[0], float(p[0] @ evaluate(p[0])[1]), int(steps[0]), float(gaps[0])
 
 
 def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10) -> CapacityResult:
@@ -581,7 +625,7 @@ def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10) -> Capacit
     b = ch.energy
     tol_nats = max(tol * LN2 / 2.0, 1e-14)
 
-    p, info, iters, gap = barrier_newton(ch.w, tol_nats=tol_nats)
+    p, info, iters, gap = maximize_information(ch.w, tol_nats=tol_nats)
     if float(p @ b) >= threshold - 1e-12:
         return CapacityResult(rate=info / LN2, distribution=p,
                               iterations=iters, residual=gap / LN2)
@@ -589,7 +633,7 @@ def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10) -> Capacit
     if ch.b_max - threshold <= 1e-12:
         # only the maximum-energy symbols are feasible
         keep = b >= ch.b_max - 1e-12
-        sub_p, sub_info, sub_iters, gap = barrier_newton(ch.w[keep], tol_nats=tol_nats)
+        sub_p, sub_info, sub_iters, gap = maximize_information(ch.w[keep], tol_nats=tol_nats)
         full = np.zeros(ch.input_size)
         full[keep] = sub_p
         return CapacityResult(rate=sub_info / LN2, distribution=full,
@@ -604,7 +648,7 @@ def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10) -> Capacit
         return CapacityResult(rate=mutual_information(p, ch), distribution=p,
                               iterations=iters, residual=0.0)
 
-    p, info, steps, gap = barrier_newton(ch.w, p_init=p, tol_nats=tol_nats,
+    p, info, steps, gap = maximize_information(ch.w, p_init=p, tol_nats=tol_nats,
                                          energy=(b, threshold))
     return CapacityResult(rate=info / LN2, distribution=p,
                           iterations=iters + steps, residual=max(gap, 0.0) / LN2)

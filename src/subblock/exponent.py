@@ -3,19 +3,15 @@
 The minimizer of D(V || W | P) subject to I(P, V) <= R has the exponential
 form V(y|x) ~ w(y|x)^(1-s) * pv(y)^s with pv its own output marginal, so the
 whole exponent curve is swept by the scalar tilt s in [0, 1].  The marginal
-is found by fixed-point iteration; s is found by bisection on the rate, which
-is monotone non-increasing along the family (asserted at every step, never
-assumed silently).
-
-The fixed-point step pv <- p @ V(pv) is Arimoto's alternating maximization
-of the concave f(q) = sum_x p_x log sum_y w(y|x)^(1-s) q_y^s: by Jensen each
-step raises f by at least s * D(p @ V(q) || q) >= 0, so it runs undamped.
-It takes a stack of tilts and iterates them in one array, each member with
-its own stopping rule.  The rates of a curve are bisected in lockstep: one
-stacked solve per bisection level serves every rate still open, so a curve
-costs about 30 stacked solves rather than one scalar solve per step of every
-rate.  Each member's arithmetic is that of a solve of its tilt alone, so
-every value equals that of one bisection per rate bit for bit.
+maximizes the concave f(q) = sum_x p_x log sum_y w(y|x)^(1-s) q_y^s over the
+simplex (Arimoto, 1976), which :func:`subblock.capacity.barrier_newton` does
+for a stack of tilts at once, each member until its Frank-Wolfe gap, a bound
+on f(q*) - f(q), is <= tol.  s is found by bisection on the rate, which is
+monotone non-increasing along the family (asserted at every step, never
+assumed silently).  The rates of a curve are bisected in lockstep: one
+stacked solve per bisection level serves every rate still open.  Each
+member's arithmetic is that of a solve of its tilt alone, so every value
+equals that of one bisection per rate bit for bit.
 ``tilted_fixed_point``, ``sphere_packing_solution`` and ``sphere_packing``
 are the one-tilt and one-rate calls of the same two routines.
 """
@@ -24,25 +20,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
+from .capacity import barrier_newton
 from .channel import (Channel, as_distribution, divergence_conditional,
                       information_stack, mutual_information_matrix)
 from .errors import DomainError, InfiniteExponent, NoConvergence
 from .typeclass import Composition, rate_loss
 
 _MONOTONE_SLACK = 1e-9
-FIXED_POINT_TOL = 1e-12        # max-abs marginal change that ends a fixed point
-FIXED_POINT_MAX_ITER = 100_000
+FIXED_POINT_TOL = 1e-12        # Frank-Wolfe gap of f, in nats, that ends a tilted solve
+FULL_TILT_GAP = 1e-6           # the s = 1 marginal is solved at s = 1 - FULL_TILT_GAP
 
 
 @dataclass(frozen=True)
 class TiltedSolution:
-    """One point of the tilted family: tilt s, channel v, output marginal pv,
-    its rate I(P, V) and divergence D(V || W | P) in bits, and the
-    fixed-point iterations and residual max |p @ v - pv|."""
+    """One point of the tilted family: tilt s, channel v, its output marginal
+    pv, rate I(P, V) and divergence D(V || W | P) in bits, the Newton steps
+    that found the marginal, and the certified Frank-Wolfe gap it reached in
+    f, in nats."""
 
     s: float
     v: np.ndarray
@@ -63,88 +60,75 @@ class ExponentCurve:
     e_sp_at_critical: float
 
 
-def _tilt_rows(wpow: np.ndarray, pv: np.ndarray, tilts: list[float], w: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """The rows of V(pv) for a stack of tilts, in ``out`` (or a fresh array):
-    wpow[i] * pv[i]^tilts[i], each row divided by its sum.  Each member's
-    power is its own ``np.power`` call with a scalar exponent, since numpy
-    rounds some exponents (0.5 as a square root) differently when they arrive
-    as an array.  A row can lose all mass only when pv vanished on its
-    support; such rows carry no input probability and keep the reference row
-    there.  Without such a row the masks are skipped: the values are the same
-    bit for bit."""
-    scale = np.empty_like(pv)
-    for row, pv_row, tilt in zip(scale, pv, tilts):
-        np.power(pv_row, tilt, out=row)
-    v = np.multiply(wpow, scale[:, None, :], out=out)
-    denom = np.add.reduce(v, 2)
-    if np.minimum.reduce(denom, None) > 0.0:
-        return np.divide(v, denom[:, :, None], out=v)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    v[:] = np.where(denom[:, :, None] > 0.0, v / safe[:, :, None], w)
-    return v
+def _tilt_rows(wpow: np.ndarray, q: np.ndarray, tilts) -> np.ndarray:
+    """The rows of V(q) for a stack of tilts: wpow[i] * q[i]^tilts[i], each
+    row divided by its sum, which is positive as q is.  Each member's power
+    is its own ``np.power`` call with a scalar exponent, since numpy rounds
+    some exponents (0.5 as a square root) differently when they arrive as an
+    array."""
+    scale = np.empty_like(q)
+    for row, q_row, tilt in zip(scale, q, tilts):
+        np.power(q_row, tilt, out=row)
+    v = wpow * scale[:, None, :]
+    return np.divide(v, np.add.reduce(v, 2)[:, :, None], out=v)
 
 
 def _tilted_stack(w: np.ndarray, p: np.ndarray, tilts: list[float], tol: float):
-    """The fixed points of :func:`tilted_fixed_points` for the nonempty list
+    """The solutions of :func:`tilted_fixed_points` for the nonempty list
     ``tilts`` in [0, 1] and the normalized ``p``: every member's rate, and a
     function that builds member ``i``'s :class:`TiltedSolution`, so that a
-    bisection level computes the divergence only of the solutions it keeps."""
-    k = len(tilts)
-    positive = w > 0.0
-    dense = positive.all()
-    base = w if dense else np.where(positive, w, 1.0)
-    wpow = np.empty((k,) + w.shape)
-    for member, tilt in zip(wpow, tilts):
-        np.power(base, 1.0 - tilt, out=member)
-    if not dense:
-        wpow[:, ~positive] = 0.0
-    final = np.empty((k, w.shape[1]))
-    iterations = [0] * k
-    members = list(range(k))
-    pv = np.repeat((p @ w)[None, :], k, 0)
-    run_wpow, run_tilts, v = wpow, tilts, np.empty_like(wpow)
-    for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
-        pv_next = np.matmul(p, _tilt_rows(run_wpow, pv, run_tilts, w, v))
-        done = np.maximum.reduce(np.absolute(pv_next - pv), 1) <= tol
-        if done.any():
-            for j in np.flatnonzero(done).tolist():
-                final[members[j]] = pv_next[j]
-                iterations[members[j]] = iteration
-            if done.all():
-                break
-            keep = ~done
-            members = list(compress(members, keep.tolist()))
-            run_tilts = list(compress(run_tilts, keep.tolist()))
-            pv_next, run_wpow, v = pv_next[keep], run_wpow[keep], v[keep]
-        pv = pv_next
-    else:
-        raise NoConvergence(
-            f"tilted fixed point did not converge at s={run_tilts[0]} "
-            f"within {FIXED_POINT_MAX_ITER} iterations"
-        )
-    v = _tilt_rows(wpow, final, tilts, w)
-    residuals = np.maximum.reduce(np.absolute(np.matmul(p, v) - final), 1).tolist()
+    bisection level computes the divergence only of the solutions it keeps.
+
+    One :func:`~subblock.capacity.barrier_newton` call maximizes every
+    member's f(q) = sum_x p_x log sum_y w^(1-s) q_y^s, whose gradient is
+    s (pT)_y / q_y and scaled Hessian s(1-s) diag(pT) + s^2 T' diag(p) T,
+    with T = V(q).  At s = 1, f can be flat along a face, so that member's q
+    is solved at ``1 - FULL_TILT_GAP``, the limit s -> 1, and only its V is
+    built at s = 1."""
+    solve = np.array([1.0 - FULL_TILT_GAP if tilt == 1.0 else tilt for tilt in tilts])
+    wpow = np.empty((len(tilts),) + w.shape)
+    for member, tilt in zip(wpow, solve.tolist()):
+        np.power(w, 1.0 - tilt, out=member)     # 0 where w is, as 1 - tilt > 0
+
+    def objective(q, members, hessian=False):
+        s = solve[members, None]
+        t = _tilt_rows(wpow[members], q, s[:, 0].tolist())
+        pt = np.matmul(p, t)
+        grad = s * pt / q
+        if not hessian:
+            return grad
+        root = np.sqrt(p)[:, None] * t
+        s = s[:, :, None]
+        return grad, s * ((1.0 - s) * pt[:, :, None] * np.eye(len(w[0]))
+                          + s * np.matmul(root.transpose(0, 2, 1), root))
+
+    start = np.repeat((p @ w)[None, :], len(tilts), 0)
+    q, steps, gaps = barrier_newton(objective, start, tol_nats=tol)
+    if not (gaps <= tol).all():
+        i = int(np.argmin(gaps <= tol))
+        raise NoConvergence(f"tilted solve did not converge at s={tilts[i]}: "
+                            f"Frank-Wolfe gap {gaps[i]:.3g} after {steps[i]} Newton steps")
+    if 1.0 in tilts:
+        wpow[np.equal(tilts, 1.0)] = w > 0.0
+    v = _tilt_rows(wpow, q, tilts)
+    pv = np.matmul(p, v)
     rates = information_stack(p, v)[1]
 
     def solution(i: int) -> TiltedSolution:
-        return TiltedSolution(s=tilts[i], v=v[i], pv=final[i], rate=rates[i],
+        return TiltedSolution(s=tilts[i], v=v[i], pv=pv[i], rate=rates[i],
                               divergence=divergence_conditional(v[i], w, p),
-                              iterations=iterations[i], residual=residuals[i])
+                              iterations=int(steps[i]), residual=float(gaps[i]))
 
     return rates, solution
 
 
 def tilted_fixed_points(ch: Channel, input_dist, tilts,
                         tol: float = FIXED_POINT_TOL) -> tuple[TiltedSolution, ...]:
-    """Solve the output-marginal fixed point for every tilt of ``tilts``.
-
-    All members iterate together in one ``(k, |X|, |Y|)`` array, and each
-    keeps its own iteration: pv <- p @ V(pv) from pv = PW until its max-abs
-    change drops below ``tol``, for at most ``FIXED_POINT_MAX_ITER``
-    iterations, else :class:`NoConvergence` names its tilt.  The step is
-    Arimoto's ascent of a concave function, so it needs no damping.  Every
-    value equals that of a solve of the member alone, at
+    """Solve the output-marginal fixed point for every tilt of ``tilts``:
+    one stacked :func:`~subblock.capacity.barrier_newton` solve from PW, each
+    member until its Frank-Wolfe gap is <= ``tol``, else
+    :class:`NoConvergence` names its tilt.  The s = 1 member is the limit
+    s -> 1.  Every value equals that of a solve of the member alone, at
     ``p = as_distribution(input_dist)``.
     """
     s = np.ravel(np.asarray(tilts, dtype=float)).tolist()

@@ -25,7 +25,8 @@ import math
 
 import numpy as np
 
-from .capacity import (CapacityResult, ClassTable, barrier_newton, blahut_arimoto)
+from .capacity import (CapacityResult, ClassTable, blahut_arimoto,
+                       maximize_information)
 from .channel import Channel, mutual_information_matrix
 from .typeclass import type_class_size
 
@@ -75,7 +76,7 @@ def secc_from_table(table: ClassTable, threshold: float, tol: float = 1e-9, *,
         lumped, tol_nats=tol_nats, max_iter=max_iter, bonus=bonus,
         p_init=weights)
     if gap > tol_nats:
-        finish = barrier_newton(lumped, p_init=p, tol_nats=tol_nats, bonus=bonus)
+        finish = maximize_information(lumped, p_init=p, tol_nats=tol_nats, bonus=bonus)
         iterations += finish[2]
         if finish[3] < gap:
             p, info_nats, _, gap = finish
@@ -95,9 +96,10 @@ def secc_capacity(ch: Channel, length: int, threshold: float,
     """Exact SECC capacity (bits/use), max J / L: Blahut-Arimoto over the
     class-lumped channel with the per-class CSCC information as a bonus,
     started at the class weights |T_P| / |A| and duality-gap certified to
-    ``tol``.  If ``max_iter`` iterations leave the gap above ``tol``,
-    :func:`barrier_newton` finishes from the last iterate and its steps count
-    as iterations; ``residual`` is the gap reached.  If the best single class,
+    ``tol``.  If ``max_iter`` iterations leave the gap above ``tol``, barrier
+    Newton (:func:`~subblock.capacity.maximize_information`) finishes from the
+    last iterate and its steps count as iterations; ``residual`` is the gap
+    reached.  If the best single class,
     a vertex of the feasible set with J / L its CSCC rate, beats the solver's
     point, that class is reported with all the weight; the gap still bounds
     the distance to the maximum, as the reported rate is higher.

@@ -312,6 +312,15 @@ def test_exit_code_no_convergence(monkeypatch, capsys):
     assert not captured.out
 
 
+def test_exit_code_when_newton_runs_out_of_steps(monkeypatch, capsys):
+    monkeypatch.setattr(subblock.capacity, "NEWTON_MAX_STEPS", 5)
+    assert main(["exponent", "--channel", "bec:0.3", "--r-values", "0.1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("no convergence: tilted solve did not converge at s=")
+    assert captured.err.count("\n") == 1
+    assert not captured.out
+
+
 def test_sweeps_compute_one_law_table_per_channel_and_length(monkeypatch):
     # each table computes its rows on demand; no class law is computed twice
     calls, computed, kernel = [], [], subblock.capacity.class_laws

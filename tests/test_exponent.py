@@ -98,12 +98,14 @@ def test_infinite_exponent_is_its_own_exported_error():
     assert "InfiniteExponent" in subblock.__all__
 
 
-def test_fixed_point_converges_undamped_near_full_tilt():
-    # near s = 1 the BEC's residual rises at step 2; the plain step still
-    # ascends, and ends within the tolerance of a much finer solve
+def test_newton_certifies_the_bec_near_full_tilt():
+    # the Frank-Wolfe gap bounds the error: a 100 times tighter solve moves
+    # the rate and the divergence by no more than the slope s / (1 - s)
+    # times the looser gap
     bec = tilted_fixed_point(Channel.bec(0.3), UNIFORM, 0.99)
     assert bec.residual <= 1e-12 and bec.iterations <= 60
     fine = tilted_fixed_point(Channel.bec(0.3), UNIFORM, 0.99, tol=1e-14)
+    assert fine.residual <= 1e-14
     assert abs(bec.rate - fine.rate) <= 1e-10
     assert abs(bec.divergence - fine.divergence) <= 1e-10
     assert tilted_fixed_point(Channel.z(0.3), UNIFORM, 0.99).residual <= 1e-12
@@ -118,6 +120,70 @@ DENSE = Channel(np.array([[4.0, 1.0, 2.0, 3.0, 1.0, 5.0],
                           [2.0, 2.0, 7.0, 1.0, 1.0, 3.0],
                           [1.0, 1.0, 1.0, 5.0, 6.0, 2.0]]) / [[16.0], [12.0], [16.0], [16.0]],
                 (0.0, 1.0, 2.0, 3.0))
+
+
+def test_newton_converges_near_full_tilt():
+    # the fixed point needed about 20 / (1 - s) iterations here, and gave
+    # up at s = 0.9999
+    uniform = np.full(3, 1.0 / 3.0)
+    for s in (0.999, 0.9999, 0.99999):
+        sol = tilted_fixed_point(TERNARY, uniform, s)
+        assert sol.residual <= 1e-12 and sol.iterations <= 20
+    assert 0.0 < sphere_packing(TERNARY, uniform, 1e-6) < math.inf
+
+
+@pytest.mark.parametrize("ch, p", [
+    (Channel.bsc(0.1), [0.3, 0.7]),
+    (DENSE, [0.1, 0.2, 0.3, 0.4]),
+    (TERNARY, [0.7, 0.2, 0.1]),
+], ids=["bsc", "dense", "ternary"])
+def test_full_tilt_is_the_limit_of_the_family(ch, p):
+    # with W > 0, f is flat at s = 1: every output marginal q maximizes it
+    # and gives rate 0.  The limit s -> 1 is the least divergence among
+    # them, q ~ prod_x w(y|x)^p_x, so E_sp(R_inf) has a closed form.
+    p = subblock.as_distribution(p, ch.input_size)
+    sol = tilted_fixed_point(ch, p, 1.0)
+    closed = -math.log2(float(np.prod(ch.w ** p[:, None], axis=0).sum()))
+    assert sol.rate <= 1e-12
+    assert abs(sol.divergence - closed) <= 5e-12
+
+
+def fourth_random_channel():
+    """The fourth draw of a random 2-5 x 2-6 channel with zeros, with a zero
+    in P on every third draw: W has a zero column under the support of P,
+    so f is flat along a face at s = 1 and R_inf is about 1e-12."""
+    rng = np.random.default_rng(5)
+    for draw in range(4):
+        r, c = rng.integers(2, 6), rng.integers(2, 7)
+        w = rng.random((r, c)) * (rng.random((r, c)) > 0.3)
+        for row in w:
+            if row.sum() == 0.0:
+                row[rng.integers(c)] = 1.0
+        p = rng.random(r)
+        if draw % 3 == 0:
+            p[0] = 0.0
+    return Channel(w / w.sum(axis=1, keepdims=True), np.zeros(r)), p / p.sum()
+
+
+def test_sphere_packing_is_continuous_across_the_full_tilt_rate():
+    # the fixed point's s = 1 point gave 0.630 just above R_inf, failed to
+    # converge at R_inf + 2e-9, and gave 0.5996 at R_inf + 1e-8
+    ch, p = fourth_random_channel()
+    top = tilted_fixed_point(ch, p, 1.0)
+    assert top.rate <= 1e-11
+    values = [sphere_packing(ch, p, top.rate + gap) for gap in (5e-10, 2e-9, 1e-8, 1e-6)]
+    assert values[0] == top.divergence
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    assert all(a - b <= 1e-3 for a, b in zip(values, values[1:]))
+    assert abs(top.divergence - 0.5996902) <= 1e-7
+
+
+def test_tilted_solve_names_its_tilt_when_newton_runs_out_of_steps(monkeypatch):
+    monkeypatch.setattr(subblock.capacity, "NEWTON_MAX_STEPS", 5)
+    with pytest.raises(NoConvergence, match=r"s=0\.99\b"):
+        tilted_fixed_point(Channel.bec(0.3), UNIFORM, 0.99)
+    # a member that converges within the cap is unaffected
+    assert tilted_fixed_point(Channel.bsc(0.1), UNIFORM, 0.99).residual <= 1e-12
 
 
 def arimoto_objective(w, p, s, q):
