@@ -29,7 +29,6 @@ class PenaltyBound:
 
     upper: float
     method: str
-    lower: float = 0.0
     alpha: float | None = None
     alpha_clamped: bool = False
 

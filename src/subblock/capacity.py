@@ -25,9 +25,9 @@ import numpy as np
 from .channel import (Channel, as_distribution, conditional_entropy,
                       mutual_information)
 from .errors import DomainError, Infeasible, SizeLimit
-from .typeclass import (Composition, composition_count, enumerate_compositions,
-                        feasible_rows, log_type_class_size, type_class_blocks,
-                        type_class_size)
+from .typeclass import (FEASIBILITY_TOL, Composition, composition_count,
+                        enumerate_compositions, feasible_rows, log_type_class_size,
+                        type_class_blocks, type_class_size)
 
 CLASS_CAP = 10**6          # sequences per input type class; bounds time, not memory
 OUTPUT_TYPE_CAP = 10**5    # number of output type classes
@@ -331,64 +331,33 @@ def class_rate_bound(ch: Channel, composition: Composition) -> float:
 
 
 def cscc_from_table(table: ClassTable, threshold: float) -> CapacityResult:
-    """The best class of ``table`` feasible at ``threshold``.  Ties within
-    ``RATE_TIE_TOL`` go to the composition with the larger mean energy, then
-    to the lexicographically smallest counts vector, the rule applied in
-    :meth:`ClassTable.feasible` order.
+    """The best class of ``table`` feasible at ``threshold``.  Of the classes
+    within ``RATE_TIE_TOL`` of the top rate, it keeps those within
+    ``RATE_TIE_TOL`` of the largest mean energy and picks the smallest counts
+    vector.  The rule reads a set, so the pick does not depend on scan order.
 
-    The classes are visited in decreasing :func:`class_rate_bound`, ties in
-    that order, and each one's rate is computed, until the bound of the
-    next is below ``floor - _PRUNE_MARGIN``.  ``floor`` is the lowest rate
-    joined to the best one by a chain of computed rates each within
-    ``_PRUNE_MARGIN`` of the next.  So every class left out, and every
-    computed class outside the chain, is more than ``RATE_TIE_TOL`` below
-    every class of the chain, with room for rounding: the first of the chain
-    in feasible order displaces whichever of them is best before it, and
-    none of them displaces one of the chain after it.  The tie rule over the
-    computed classes therefore picks what it picks over all of them."""
-    classes = table.feasible(threshold)
-    bounds = [table.bound(comp) for comp in classes]
-    rates: dict[int, float] = {}
-    floor = -math.inf
-    for i in sorted(range(len(bounds)), key=lambda i: -bounds[i]):
-        if bounds[i] < floor - _PRUNE_MARGIN:
+    Rates are computed in decreasing :func:`class_rate_bound`, ties in
+    :meth:`ClassTable.feasible` order, until a bound is below the best rate so
+    far by more than ``RATE_TIE_TOL + _PRUNE_MARGIN``: that class, and every
+    later one, can be neither the top nor inside its tie window."""
+    rates: dict[Composition, float] = {}
+    top = -math.inf
+    for comp in sorted(table.feasible(threshold), key=table.bound, reverse=True):
+        if table.bound(comp) < top - RATE_TIE_TOL - _PRUNE_MARGIN:
             break
-        rate, = table.rates((classes[i],))
-        rates[i] = max(rate, 0.0)
-        floor = _chain_floor(rates.values())
-    best: CapacityResult | None = None
-    best_energy = -1.0
-    for i in sorted(rates):
-        comp = classes[i]
-        energy = table.energies[comp]
-        res = CapacityResult(rate=rates[i], composition=comp)
-        if best is None or res.rate > best.rate + RATE_TIE_TOL:
-            best, best_energy = res, energy
-            continue
-        if abs(res.rate - best.rate) <= RATE_TIE_TOL:
-            if energy > best_energy + RATE_TIE_TOL:
-                best, best_energy = res, energy
-            elif abs(energy - best_energy) <= RATE_TIE_TOL and \
-                    comp.counts < best.composition.counts:
-                best = res
-    return best
-
-
-def _chain_floor(rates) -> float:
-    """The lowest of ``rates`` reached from the highest by steps down of at
-    most ``_PRUNE_MARGIN``."""
-    ordered = sorted(rates, reverse=True)
-    floor = ordered[0]
-    for rate in ordered[1:]:
-        if rate < floor - _PRUNE_MARGIN:
-            break
-        floor = rate
-    return floor
+        rate, = table.rates((comp,))
+        rates[comp] = max(rate, 0.0)
+        top = max(top, rates[comp])
+    near = [comp for comp, rate in rates.items() if rate >= top - RATE_TIE_TOL]
+    energy = max(table.energies[comp] for comp in near)
+    best = min((comp for comp in near if table.energies[comp] >= energy - RATE_TIE_TOL),
+               key=lambda comp: comp.counts)
+    return CapacityResult(rate=rates[best], composition=best)
 
 
 def cscc_capacity(ch: Channel, length: int, threshold: float) -> CapacityResult:
     """CSCC capacity: the best fixed composition among the energy-feasible
-    set, with the tie rule of :func:`cscc_from_table`."""
+    set, by the order-independent tie rule of :func:`cscc_from_table`."""
     return cscc_from_table(ClassTable(ch, length), threshold)
 
 
@@ -618,7 +587,7 @@ def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10) -> Capacit
     bits, and ``iterations`` counts Newton steps: those of the solves run,
     so only the unconstrained one in the two-input closed form.
     """
-    if threshold > ch.b_max + 1e-12:
+    if threshold > ch.b_max + FEASIBILITY_TOL:
         raise Infeasible(
             f"threshold {threshold} exceeds the largest symbol energy {ch.b_max}"
         )
@@ -626,13 +595,13 @@ def capacity_power(ch: Channel, threshold: float, tol: float = 1e-10) -> Capacit
     tol_nats = max(tol * LN2 / 2.0, 1e-14)
 
     p, info, iters, gap = maximize_information(ch.w, tol_nats=tol_nats)
-    if float(p @ b) >= threshold - 1e-12:
+    if float(p @ b) >= threshold - FEASIBILITY_TOL:
         return CapacityResult(rate=info / LN2, distribution=p,
                               iterations=iters, residual=gap / LN2)
 
-    if ch.b_max - threshold <= 1e-12:
+    if ch.b_max - threshold <= FEASIBILITY_TOL:
         # only the maximum-energy symbols are feasible
-        keep = b >= ch.b_max - 1e-12
+        keep = b >= ch.b_max - FEASIBILITY_TOL
         sub_p, sub_info, sub_iters, gap = maximize_information(ch.w[keep], tol_nats=tol_nats)
         full = np.zeros(ch.input_size)
         full[keep] = sub_p

@@ -137,6 +137,8 @@ def max_subblock_length(ch: Channel, composition_shape, demand: float,
     if e_max <= 0.0:
         return 0
     if isinstance(composition_shape, Composition):
+        if composition_shape.alphabet_size != ch.input_size:
+            raise DomainError("composition alphabet does not match the channel")
         probs = composition_shape.probabilities()
     else:
         probs = np.asarray(composition_shape, dtype=float).ravel()
@@ -225,6 +227,8 @@ def balanced_composition(alphabet_size: int, length: int,
         order = list(range(alphabet_size))
     else:
         b = np.asarray(energy, dtype=float).ravel()
+        if b.size != alphabet_size:
+            raise DomainError("energy map must give one energy per symbol")
         order = sorted(range(alphabet_size), key=lambda x: (b[x], x))
     for x in order[:extra]:
         counts[x] += 1

@@ -113,6 +113,40 @@ def test_cscc_capacity_tie_breaking():
     assert result.composition.counts == (0, 2)
 
 
+class _StubTable:
+    """The reader interface of :class:`ClassTable` over given rates and
+    energies, every class with the same bound, so the scan visits them in
+    the order given."""
+
+    def __init__(self, classes):
+        self.classes = tuple(classes)
+        self.energies = {comp: energy for comp, energy, _ in self.classes}
+        self._rates = {comp: rate for comp, _, rate in self.classes}
+
+    def feasible(self, threshold):
+        return tuple(comp for comp, _, _ in self.classes)
+
+    def bound(self, composition):
+        return 1.0
+
+    def rates(self, compositions):
+        return [self._rates[comp] for comp in compositions]
+
+
+def test_cscc_pick_does_not_depend_on_the_scan_order():
+    # a chain of near-ties: b is within RATE_TIE_TOL of both a and c, but a is
+    # 1.8 tolerances below c, the top, so only b and c tie; b has the smaller
+    # counts at equal energy
+    tol = subblock.capacity.RATE_TIE_TOL
+    a = (Composition((1, 2, 1)), 1.5, 0.5)
+    b = (Composition((0, 4, 0)), 1.0, 0.5 + 0.9 * tol)
+    c = (Composition((2, 0, 2)), 1.0, 0.5 + 1.8 * tol)
+    for order in ((a, b, c), (c, b, a)):
+        result = cscc_from_table(_StubTable(order), 0.0)
+        assert result.composition.counts == (0, 4, 0)
+        assert result.rate >= c[2] - tol
+
+
 def test_cscc_capacity_monotone_in_subblock_length():
     for threshold in (0.3, 0.5, 0.6, 0.75):
         rates = [cscc_capacity(bsc(0.1), length, threshold).rate

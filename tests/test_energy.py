@@ -85,6 +85,12 @@ def test_max_subblock_length_rejects_a_non_finite_shape():
             max_subblock_length(BINARY, shape, 0.5, 4.0, require_integral=True)
 
 
+def test_max_subblock_length_rejects_a_composition_over_another_alphabet():
+    for counts in ((1, 1, 1), (2,)):
+        with pytest.raises(DomainError, match="alphabet"):
+            max_subblock_length(BINARY, Composition(counts), 0.5, 4.0)
+
+
 def test_max_subblock_length_integral_option():
     # floor gives 8 for the balanced shape; requiring integral counts keeps 8,
     # an uneven shape steps down to a realizable length
@@ -186,6 +192,11 @@ def test_balanced_composition_remainders():
     assert balanced_composition(2, 9, energy=(0.0, 1.0)).counts == (5, 4)
     assert balanced_composition(2, 9, energy=(1.0, 0.0)).counts == (4, 5)
     assert balanced_composition(3, 7).counts == (3, 2, 2)
+
+
+def test_balanced_composition_rejects_an_energy_map_of_another_size():
+    with pytest.raises(DomainError, match="energy"):
+        balanced_composition(3, 5, energy=(0.0, 1.0))
 
 
 def test_cscc_sequence_orders():
