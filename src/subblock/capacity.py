@@ -266,59 +266,58 @@ def cscc_composition_rate(ch: Channel, composition: Composition) -> CapacityResu
 
 
 class ClassTable:
-    """The type classes of one channel and subblock length: every composition
-    with its mean energy, and, computed on demand and kept, each class's
-    output law P(y_Q | P), its unclamped CSCC rate in bits/use and its bound
+    """The type classes of one channel and subblock length as rows, in
+    :func:`enumerate_compositions` order: ``compositions``, their ``counts``
+    and mean ``energies``, and, computed on demand and kept, each row's
+    output law P(y_Q | P), unclamped CSCC rate in bits/use and bound
     :func:`class_rate_bound`.  A threshold is an argument of the readers,
     not of the table, so one table serves a whole sweep of thresholds and
     computes each class at most once."""
 
     def __init__(self, ch: Channel, length: int):
         self.ch, self.length = ch, length
-        self.energies = {comp: comp.mean_energy(ch.energy)
-                         for comp in enumerate_compositions(ch.input_size, length)}
-        self._sizes: np.ndarray | None = None
-        self._rows: dict[Composition, tuple[np.ndarray, float]] = {}
-        self._bounds: dict[Composition, float] = {}
+        self.compositions = enumerate_compositions(ch.input_size, length)
+        self.counts = np.array([comp.counts for comp in self.compositions])
+        self.energies = np.array([comp.mean_energy(ch.energy) for comp in self.compositions])
+        self._sizes, self._laws = None, [None] * len(self.compositions)
+        self._rates, self._bounds = np.full((2, len(self.compositions)), np.nan)
 
-    def feasible(self, threshold: float) -> tuple[Composition, ...]:
-        """The classes feasible at ``threshold``, bit for bit what
-        :func:`feasible_compositions` gives, after :func:`check_class_caps`
-        has passed them, so a reader fails before it computes any class."""
-        members = tuple(self.energies)
-        classes = tuple(members[i] for i in
-                        feasible_rows(self.energies.values(), self.length, threshold))
-        check_class_caps(self.ch.output_size, classes, self.length)
-        return classes
+    def feasible(self, threshold: float) -> np.ndarray:
+        """The rows feasible at ``threshold``, in order, those of
+        :func:`feasible_compositions`, once :func:`check_class_caps` has
+        passed them, so a reader fails before it computes any class."""
+        rows = feasible_rows(self.energies, self.length, threshold)
+        check_class_caps(self.ch.output_size, [self.compositions[i] for i in rows],
+                         self.length)
+        return rows
 
-    def _fill(self, compositions) -> None:
-        """Compute the rows of ``compositions`` not kept yet, in one
-        :func:`class_laws` call.  A class's row does not depend on the others
-        in the call, so it is bit for bit what any other call gives."""
-        missing = [comp for comp in compositions if comp not in self._rows]
+    def rates(self, rows) -> np.ndarray:
+        """The unclamped CSCC rates of ``rows``, as :func:`class_rates`
+        returns them.  The rows not kept yet are computed in one
+        :func:`class_laws` call; a row does not depend on the others in its
+        call, so it is bit for bit what any other call gives."""
+        missing = [i for i in rows if self._laws[i] is None]
         if missing:
-            self._sizes, laws = class_laws(self.ch.w, missing, self.length)
-            rates = class_rates(self.ch, missing, self._sizes, laws)
-            self._rows.update(zip(missing, zip(laws, rates)))
+            classes = [self.compositions[i] for i in missing]
+            self._sizes, laws = class_laws(self.ch.w, classes, self.length)
+            self._rates[missing] = class_rates(self.ch, classes, self._sizes, laws)
+            for i, law in zip(missing, laws):
+                self._laws[i] = law
+        return self._rates[rows]
 
-    def laws(self, compositions) -> tuple[np.ndarray, np.ndarray]:
-        """``(sizes, laws)`` for ``compositions``, as :func:`class_laws`
-        returns them."""
-        self._fill(compositions)
-        laws = np.array([self._rows[comp][0] for comp in compositions])
+    def laws(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """``(sizes, laws)`` for ``rows``, as :func:`class_laws` returns them
+        for their compositions."""
+        self.rates(rows)
+        laws = np.array([self._laws[i] for i in rows])
         laws.setflags(write=False)
         return self._sizes, laws
 
-    def rates(self, compositions) -> list[float]:
-        """The unclamped CSCC rates of ``compositions``, as
-        :func:`class_rates` returns them."""
-        self._fill(compositions)
-        return [self._rows[comp][1] for comp in compositions]
-
-    def bound(self, composition: Composition) -> float:
-        if composition not in self._bounds:
-            self._bounds[composition] = class_rate_bound(self.ch, composition)
-        return self._bounds[composition]
+    def bounds(self, rows) -> np.ndarray:
+        """:func:`class_rate_bound` of each of ``rows``."""
+        for i in rows[np.isnan(self._bounds[rows])]:
+            self._bounds[i] = class_rate_bound(self.ch, self.compositions[i])
+        return self._bounds[rows]
 
 
 def class_rate_bound(ch: Channel, composition: Composition) -> float:
@@ -340,19 +339,20 @@ def cscc_from_table(table: ClassTable, threshold: float) -> CapacityResult:
     :meth:`ClassTable.feasible` order, until a bound is below the best rate so
     far by more than ``RATE_TIE_TOL + _PRUNE_MARGIN``: that class, and every
     later one, can be neither the top nor inside its tie window."""
-    rates: dict[Composition, float] = {}
-    top = -math.inf
-    for comp in sorted(table.feasible(threshold), key=table.bound, reverse=True):
-        if table.bound(comp) < top - RATE_TIE_TOL - _PRUNE_MARGIN:
+    rows = table.feasible(threshold)
+    bounds = table.bounds(rows)
+    order = np.argsort(-bounds, kind="stable")
+    rates, top = [], -math.inf
+    for bound, row in zip(bounds[order].tolist(), rows[order].tolist()):
+        if bound < top - RATE_TIE_TOL - _PRUNE_MARGIN:
             break
-        rate, = table.rates((comp,))
-        rates[comp] = max(rate, 0.0)
-        top = max(top, rates[comp])
-    near = [comp for comp, rate in rates.items() if rate >= top - RATE_TIE_TOL]
-    energy = max(table.energies[comp] for comp in near)
-    best = min((comp for comp in near if table.energies[comp] >= energy - RATE_TIE_TOL),
-               key=lambda comp: comp.counts)
-    return CapacityResult(rate=rates[best], composition=best)
+        rates.append(max(float(table.rates([row])[0]), 0.0))
+        top = max(top, rates[-1])
+    rows, rates = rows[order[:len(rates)]], np.array(rates)
+    near = rates >= top - RATE_TIE_TOL
+    near &= table.energies[rows] >= table.energies[rows[near]].max() - RATE_TIE_TOL
+    best = np.flatnonzero(near)[np.lexsort(table.counts[rows[near]].T[::-1])[0]]
+    return CapacityResult(rate=float(rates[best]), composition=table.compositions[rows[best]])
 
 
 def cscc_capacity(ch: Channel, length: int, threshold: float) -> CapacityResult:

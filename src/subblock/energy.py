@@ -134,8 +134,6 @@ def max_subblock_length(ch: Channel, composition_shape, demand: float,
     whose product with every symbol probability is an integer, so a true
     composition exists downstream.
     """
-    if e_max <= 0.0:
-        return 0
     if isinstance(composition_shape, Composition):
         if composition_shape.alphabet_size != ch.input_size:
             raise DomainError("composition alphabet does not match the channel")
@@ -145,6 +143,8 @@ def max_subblock_length(ch: Channel, composition_shape, demand: float,
         if probs.size != ch.input_size or not np.isfinite(probs).all() \
                 or probs.min() < 0.0 or abs(probs.sum() - 1.0) > 1e-9:
             raise DomainError("composition shape must be a finite distribution over the inputs")
+    if e_max <= 0.0:
+        return 0
     low = _low_energy_mask(ch, demand)
     denom = math.fsum(
         2.0 * probs[x] * (demand - ch.energy[x])

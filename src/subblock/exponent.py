@@ -31,7 +31,7 @@ from .typeclass import Composition, rate_loss
 
 _MONOTONE_SLACK = 1e-9
 FIXED_POINT_TOL = 1e-12        # Frank-Wolfe gap of f, in nats, that ends a tilted solve
-FULL_TILT_GAP = 1e-6           # the s = 1 marginal is solved at s = 1 - FULL_TILT_GAP
+FULL_TILT_GAP = 1e-6           # h: the s = 1 marginal comes from solves at 1 - h and 1 - 2h
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,14 @@ def _tilted_stack(w: np.ndarray, p: np.ndarray, tilts: list[float], tol: float):
     member's f(q) = sum_x p_x log sum_y w^(1-s) q_y^s, whose gradient is
     s (pT)_y / q_y and scaled Hessian s(1-s) diag(pT) + s^2 T' diag(p) T,
     with T = V(q).  At s = 1, f can be flat along a face, so that member's q
-    is solved at ``1 - FULL_TILT_GAP``, the limit s -> 1, and only its V is
-    built at s = 1."""
-    solve = np.array([1.0 - FULL_TILT_GAP if tilt == 1.0 else tilt for tilt in tilts])
-    wpow = np.empty((len(tilts),) + w.shape)
+    is the limit s -> 1: solved at 1 - h and 1 - 2h, h = ``FULL_TILT_GAP``,
+    and extrapolated to 2 q(1 - h) - q(1 - 2h), which is O(h^2) off the
+    limit where q(1 - h) is O(h) off, keeping q(1 - h) wherever that leaves
+    the open simplex.  Only its V is built at s = 1."""
+    full = [i for i, tilt in enumerate(tilts) if tilt == 1.0]
+    solve = np.array([1.0 - FULL_TILT_GAP if tilt == 1.0 else tilt for tilt in tilts]
+                     + [1.0 - 2.0 * FULL_TILT_GAP] * len(full))
+    wpow = np.empty((len(solve),) + w.shape)
     for member, tilt in zip(wpow, solve.tolist()):
         np.power(w, 1.0 - tilt, out=member)     # 0 where w is, as 1 - tilt > 0
 
@@ -102,15 +106,18 @@ def _tilted_stack(w: np.ndarray, p: np.ndarray, tilts: list[float], tol: float):
         return grad, s * ((1.0 - s) * pt[:, :, None] * np.eye(len(w[0]))
                           + s * np.matmul(root.transpose(0, 2, 1), root))
 
-    start = np.repeat((p @ w)[None, :], len(tilts), 0)
+    start = np.repeat((p @ w)[None, :], len(solve), 0)
     q, steps, gaps = barrier_newton(objective, start, tol_nats=tol)
     if not (gaps <= tol).all():
         i = int(np.argmin(gaps <= tol))
-        raise NoConvergence(f"tilted solve did not converge at s={tilts[i]}: "
+        raise NoConvergence(f"tilted solve did not converge at "
+                            f"s={(tilts + [1.0] * len(full))[i]}: "
                             f"Frank-Wolfe gap {gaps[i]:.3g} after {steps[i]} Newton steps")
-    if 1.0 in tilts:
-        wpow[np.equal(tilts, 1.0)] = w > 0.0
-    v = _tilt_rows(wpow, q, tilts)
+    if full:
+        limit = 2.0 * q[full] - q[len(tilts):]
+        q[full] = np.where(limit > 0.0, limit, q[full])
+        wpow[full] = w > 0.0
+    v = _tilt_rows(wpow[:len(tilts)], q[:len(tilts)], tilts)
     pv = np.matmul(p, v)
     rates = information_stack(p, v)[1]
 

@@ -34,25 +34,25 @@ LN2 = math.log(2.0)
 
 
 def _lumped_classes(table: ClassTable, threshold: float):
-    """``(weights, lumped, rates)`` over the classes of ``table`` feasible
-    at ``threshold``: the uniform super-letter weights |T_P| / |A|, the
+    """``(weights, lumped, rates)`` over the rows of ``table`` feasible at
+    ``threshold``: the uniform super-letter weights |T_P| / |A|, the
     class-to-output-type channel W[P, Q] = |T_Q| P(y_Q | P), and each
-    class's unclamped CSCC rate in bits/use.  Every row is computed in one
-    kernel call."""
-    classes = table.feasible(threshold)
-    counts = [type_class_size(comp) for comp in classes]
+    class's unclamped CSCC rate in bits/use.  The rows not kept yet are
+    computed in one kernel call."""
+    rows = table.feasible(threshold)
+    counts = [type_class_size(table.compositions[i]) for i in rows]
     total = sum(counts)
-    sizes, laws = table.laws(classes)
-    return (np.array([n / total for n in counts]), laws * sizes,
-            np.array(table.rates(classes)))
+    sizes, laws = table.laws(rows)
+    return np.array([n / total for n in counts]), laws * sizes, table.rates(rows)
 
 
 def secc_uniform_from_table(table: ClassTable, threshold: float) -> float:
     """Rate (bits/use) achieved by the uniform distribution over the
-    super-alphabet of ``table``'s classes feasible at ``threshold``: J / L at
-    the class weights."""
+    super-alphabet of ``table``'s rows feasible at ``threshold``: J / L at
+    the class weights, clamped at 0 against rounding."""
     weights, lumped, rates = _lumped_classes(table, threshold)
-    return mutual_information_matrix(weights, lumped) / table.length + float(weights @ rates)
+    rate = mutual_information_matrix(weights, lumped) / table.length + float(weights @ rates)
+    return max(rate, 0.0)
 
 
 def secc_uniform_rate(ch: Channel, length: int, threshold: float) -> float:
@@ -63,9 +63,9 @@ def secc_uniform_rate(ch: Channel, length: int, threshold: float) -> float:
 
 def secc_from_table(table: ClassTable, threshold: float, tol: float = 1e-9, *,
                     max_iter: int = 100_000) -> CapacityResult:
-    """Exact SECC capacity (bits/use), max J / L, over ``table``'s classes
+    """Exact SECC capacity (bits/use), max J / L, over ``table``'s rows
     feasible at ``threshold``; see :func:`secc_capacity`.  The distribution
-    holds one weight per class of ``table.feasible(threshold)``."""
+    holds one weight per row of ``table.feasible(threshold)``, in order."""
     weights, lumped, rates = _lumped_classes(table, threshold)
     length = table.length
     bonus = LN2 * length * rates
@@ -99,16 +99,15 @@ def secc_capacity(ch: Channel, length: int, threshold: float,
     ``tol``.  If ``max_iter`` iterations leave the gap above ``tol``, barrier
     Newton (:func:`~subblock.capacity.maximize_information`) finishes from the
     last iterate and its steps count as iterations; ``residual`` is the gap
-    reached.  If the best single class,
-    a vertex of the feasible set with J / L its CSCC rate, beats the solver's
-    point, that class is reported with all the weight; the gap still bounds
-    the distance to the maximum, as the reported rate is higher.
+    reached.  If the best single class, a vertex of the feasible set with
+    J / L its CSCC rate, beats the solver's point, that class is reported
+    with all the weight; the gap still bounds the distance to the maximum,
+    as the reported rate is higher.
 
-    The returned distribution holds one weight per feasible class, in the
+    This builds a fresh :class:`~subblock.capacity.ClassTable` and returns
+    one weight per row it finds feasible at ``threshold``, which is the
     order of ``feasible_compositions(ch, length, threshold)``; each
-    super-letter of class P carries weight / |T_P|.  This builds a fresh
-    :class:`~subblock.capacity.ClassTable`; a sweep over thresholds passes
-    one table to :func:`secc_from_table` instead, so each class is computed
-    once.
+    super-letter of class P carries weight / |T_P|.  A sweep over thresholds
+    passes one table to :func:`secc_from_table`, so each row is computed once.
     """
     return secc_from_table(ClassTable(ch, length), threshold, tol, max_iter=max_iter)

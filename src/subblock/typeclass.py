@@ -117,14 +117,14 @@ def feasible_compositions(ch: Channel, length: int,
     return tuple(members[i] for i in feasible_rows(energies, length, threshold))
 
 
-def feasible_rows(energies, length: int, threshold: float) -> list[int]:
+def feasible_rows(energies, length: int, threshold: float) -> np.ndarray:
     """Indices, in order, of the entries of ``energies`` (the mean energies
     of compositions of ``length``) that are at least ``threshold`` less
     ``FEASIBILITY_TOL``.  Raises :class:`EmptyFeasibleSet` if there are none.
     The rows feasible at a threshold are among those feasible at any lower
     one."""
-    rows = [i for i, energy in enumerate(energies) if energy >= threshold - FEASIBILITY_TOL]
-    if not rows:
+    rows = np.flatnonzero(np.asarray(energies) >= threshold - FEASIBILITY_TOL)
+    if not rows.size:
         raise EmptyFeasibleSet(
             f"no composition of length {length} reaches energy {threshold}"
         )

@@ -114,23 +114,24 @@ def test_cscc_capacity_tie_breaking():
 
 
 class _StubTable:
-    """The reader interface of :class:`ClassTable` over given rates and
-    energies, every class with the same bound, so the scan visits them in
-    the order given."""
+    """The row interface of :class:`ClassTable` over given compositions, mean
+    energies and rates, every row with the same bound, so the scan visits
+    them in the order given."""
 
     def __init__(self, classes):
-        self.classes = tuple(classes)
-        self.energies = {comp: energy for comp, energy, _ in self.classes}
-        self._rates = {comp: rate for comp, _, rate in self.classes}
+        self.compositions = [comp for comp, _, _ in classes]
+        self.counts = np.array([comp.counts for comp in self.compositions])
+        self.energies = np.array([energy for _, energy, _ in classes])
+        self._rates = np.array([rate for _, _, rate in classes])
 
     def feasible(self, threshold):
-        return tuple(comp for comp, _, _ in self.classes)
+        return np.arange(len(self.compositions))
 
-    def bound(self, composition):
-        return 1.0
+    def bounds(self, rows):
+        return np.ones(len(rows))
 
-    def rates(self, compositions):
-        return [self._rates[comp] for comp in compositions]
+    def rates(self, rows):
+        return self._rates[rows]
 
 
 def test_cscc_pick_does_not_depend_on_the_scan_order():
@@ -145,6 +146,19 @@ def test_cscc_pick_does_not_depend_on_the_scan_order():
         result = cscc_from_table(_StubTable(order), 0.0)
         assert result.composition.counts == (0, 4, 0)
         assert result.rate >= c[2] - tol
+
+
+def test_cscc_pick_breaks_a_rate_and_energy_tie_by_the_counts():
+    # equal rates and energies: only the counts decide, compared entry by
+    # entry, whatever the order of the rows; a class two tolerances lower in
+    # energy stays out, though its counts are the smallest
+    classes = [(Composition(counts), 1.0, 0.25)
+               for counts in ((1, 2, 1), (0, 4, 0), (1, 0, 3), (0, 3, 1))]
+    low = (Composition((0, 0, 4)), 1.0 - 2 * subblock.capacity.RATE_TIE_TOL, 0.25)
+    for order in (classes + [low], [low] + classes[::-1], classes[2:] + classes[:2]):
+        result = cscc_from_table(_StubTable(order), 0.0)
+        assert result.composition.counts == (0, 3, 1)
+        assert result.rate == 0.25
 
 
 def test_cscc_capacity_monotone_in_subblock_length():
@@ -304,20 +318,25 @@ def test_capacity_power_on_random_channels(ch, level):
 
 @settings(max_examples=40, deadline=None)
 @given(ch=random_channels(), length=st.integers(1, 5),
-       levels=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
-def test_law_table_rows_match_a_fresh_kernel_call(ch, length, levels):
+       levels=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), random=st.randoms())
+def test_law_table_rows_match_a_fresh_kernel_call(ch, length, levels, random):
     b = ch.energy
     low, high = sorted(float(b.min() + t * (b.max() - b.min())) for t in levels)
-    # the rows are computed at the lower threshold and read at the higher
+    # the rows are computed at the lower threshold, in shuffled order, and
+    # read at both, again shuffled
     table = ClassTable(ch, length)
-    table.laws(table.feasible(low))
-    rows = table.feasible(high)
-    feasible = feasible_compositions(ch, length, high)
-    sizes, laws = class_laws(ch.w, feasible, length)
-    assert rows == feasible
-    table_sizes, table_laws = table.laws(rows)
-    assert np.array_equal(table_sizes, sizes) and np.array_equal(table_laws, laws)
-    assert table.rates(rows) == class_rates(ch, feasible, sizes, laws)
+    rows = table.feasible(low).tolist()
+    table.laws(random.sample(rows, len(rows)))
+    for threshold in (high, low):
+        rows = table.feasible(threshold).tolist()
+        feasible = feasible_compositions(ch, length, threshold)
+        assert [table.compositions[i] for i in rows] == list(feasible)
+        random.shuffle(rows)
+        classes = [table.compositions[i] for i in rows]
+        sizes, laws = class_laws(ch.w, classes, length)
+        table_sizes, table_laws = table.laws(rows)
+        assert np.array_equal(table_sizes, sizes) and np.array_equal(table_laws, laws)
+        assert table.rates(rows).tolist() == class_rates(ch, classes, sizes, laws)
     assert cscc_from_table(table, high) == cscc_capacity(ch, length, high)
     # a threshold is an argument, so the table serves a lower one afterwards
     assert cscc_from_table(table, low) == cscc_capacity(ch, length, low)

@@ -15,8 +15,9 @@ from subblock import (Composition, DomainError, NoConvergence, ccc_composition_r
 from subblock.cli import PENALTY_FAMILIES, _format, main, parse_channel, parse_grid
 
 GOLDEN = Path(__file__).parent / "golden"
-SRC = Path(__file__).resolve().parent.parent / "src"
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 # the README's figure commands; their CSVs are pinned byte for byte
 README_COMMANDS = {
@@ -29,6 +30,9 @@ README_COMMANDS = {
     "exponents.csv": "exponent --channel bsc:0.1 --r-values 0.02:0.5:0.02",
     "trace.csv": "energy-sim --channel builtin --b 0,1 --B 0.5 --emax 4 --L 9 --adversarial",
     "fig9.csv": "lsd --p 0.11 --n-values 16,32,64,128,256,512 --epsilon 1e-3,1e-6",
+    # every figure is binary; ternary.txt has three inputs, energies 0, 0.5, 1
+    "cscc-ternary.csv": "cscc-capacity --channel tests/golden/ternary.txt "
+                        "--b-values 0:1:0.1 --L 4,8,10 --ccc",
 }
 
 
@@ -473,7 +477,8 @@ def test_main_direct_invocation(capsys):
 
 
 @pytest.mark.parametrize("name", sorted(README_COMMANDS))
-def test_readme_command_matches_golden_csv(name, tmp_path):
+def test_readme_command_matches_golden_csv(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)      # the README runs its commands from the root
     out = tmp_path / name
     assert main([*README_COMMANDS[name].split(), "-o", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()

@@ -75,8 +75,10 @@ def test_max_subblock_length_examples():
     # ties b(x) = demand count as high energy, so nothing drains
     assert max_subblock_length(BINARY, [0.5, 0.5], 0.0, 4.0) is UNBOUNDED
     assert max_subblock_length(BINARY, Composition((1, 1)), 0.5, 4.0) == 8
-    with pytest.raises(DomainError):
-        max_subblock_length(BINARY, [0.7, 0.7], 0.5, 4.0)
+    # the shape is checked before an empty buffer returns 0
+    for e_max in (4.0, 0.0):
+        with pytest.raises(DomainError):
+            max_subblock_length(BINARY, [0.7, 0.7], 0.5, e_max)
 
 
 def test_max_subblock_length_rejects_a_non_finite_shape():
@@ -87,8 +89,9 @@ def test_max_subblock_length_rejects_a_non_finite_shape():
 
 def test_max_subblock_length_rejects_a_composition_over_another_alphabet():
     for counts in ((1, 1, 1), (2,)):
-        with pytest.raises(DomainError, match="alphabet"):
-            max_subblock_length(BINARY, Composition(counts), 0.5, 4.0)
+        for e_max in (4.0, 0.0):
+            with pytest.raises(DomainError, match="alphabet"):
+                max_subblock_length(BINARY, Composition(counts), 0.5, e_max)
 
 
 def test_max_subblock_length_integral_option():

@@ -218,7 +218,11 @@ def assert_fixed_points_maximize_the_objective(ch, p, seed=0):
     (TERNARY, [0.7, 0.2, 0.1]),
     (DENSE, [0.1, 0.2, 0.3, 0.4]),
     (Channel.noiseless(3), [0.2, 0.5, 0.3]),
-], ids=["bec", "z", "ternary", "dense", "noiseless"])
+    # f at s = 1 is curved where the solve at s = 1 - 1e-6 alone fell 1.75e-12
+    # short of its maximum
+    (Channel([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2 / 3, 1 / 3]], (0.0,) * 4),
+     np.array([0.0, 1.0, 1.0, 64.0]) / 66),
+], ids=["bec", "z", "ternary", "dense", "noiseless", "curved-full-tilt"])
 def test_fixed_point_maximizes_the_arimoto_objective(ch, p):
     assert_fixed_points_maximize_the_objective(ch, p)
 

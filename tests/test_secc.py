@@ -116,6 +116,13 @@ def test_secc_uniform_rate_matches_bruteforce():
         assert abs(secc_uniform_rate(ch, length, threshold) - oracle) <= 1e-9
 
 
+def test_secc_uniform_rate_is_clamped_at_zero():
+    # at B = b_max only the all-top class is feasible and it carries nothing;
+    # unclamped, rounding leaves the rate a few ulps below zero
+    for length in (2, 3, 4, 5, 6, 8):
+        assert secc_uniform_rate(TERNARY, length, 1.0) == 0.0
+
+
 def test_secc_capacity_examples():
     noiseless = Channel.noiseless(2, (0.0, 1.0))
     result = secc_capacity(noiseless, 2, 0.5, tol=1e-12)
