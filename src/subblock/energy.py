@@ -104,6 +104,11 @@ def simulate(cfg: BufferConfig, ch: Channel, symbols) -> EnergyTrace:
                        overflow_indices=tuple(overflows))
 
 
+def _require_finite(*settings: float) -> None:
+    if not all(math.isfinite(value) for value in settings):
+        raise DomainError("demand and buffer capacity must be finite")
+
+
 def _low_energy_mask(ch: Channel, demand: float) -> np.ndarray:
     # symbols with b(x) == demand count as high-energy
     return ch.energy < demand
@@ -114,6 +119,7 @@ def worst_case_drawdown(composition: Composition, ch: Channel,
     """Largest within-subblock buffer decrease for the composition: the sum
     of N(x) * (demand - b(x)) over symbols with b(x) < demand.  Starting a
     subblock at or above this level rules out outage inside it."""
+    _require_finite(demand)
     if composition.alphabet_size != ch.input_size:
         raise DomainError("composition alphabet does not match the channel")
     low = _low_energy_mask(ch, demand)
@@ -134,6 +140,7 @@ def max_subblock_length(ch: Channel, composition_shape, demand: float,
     whose product with every symbol probability is an integer, so a true
     composition exists downstream.
     """
+    _require_finite(demand, e_max)
     if isinstance(composition_shape, Composition):
         if composition_shape.alphabet_size != ch.input_size:
             raise DomainError("composition alphabet does not match the channel")
@@ -169,6 +176,7 @@ def adversarial_codeword(composition: Composition, ch: Channel, demand: float,
     with them, alternating.  Whenever the subblock length exceeds
     :func:`max_subblock_length` this pattern forces an outage regardless of
     the initial level."""
+    _require_finite(demand)
     if subblocks < 2:
         raise DomainError("the construction needs at least two subblocks")
     if composition.alphabet_size != ch.input_size:

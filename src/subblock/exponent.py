@@ -12,8 +12,10 @@ assumed silently).  The rates of a curve are bisected in lockstep: one
 stacked solve per bisection level serves every rate still open.  Each
 member's arithmetic is that of a solve of its tilt alone, so every value
 equals that of one bisection per rate bit for bit.
-``tilted_fixed_point``, ``sphere_packing_solution`` and ``sphere_packing``
-are the one-tilt and one-rate calls of the same two routines.
+``exponent_curve`` is the one evaluator of E_sp and E_r and states the E_r
+rule once; ``sphere_packing``, ``random_coding`` and ``cscc_error_bound``
+read their one point of it.  Its critical (s = 1/2) and most-tilted (s = 1)
+members, the latter the end of every bisection bracket, share one solve.
 """
 
 from __future__ import annotations
@@ -154,14 +156,18 @@ def tilted_fixed_point(ch: Channel, input_dist, s: float,
     return tilted_fixed_points(ch, input_dist, [s], tol)[0]
 
 
+def _ends(ch: Channel, p: np.ndarray) -> tuple[TiltedSolution, TiltedSolution]:
+    """The critical member (s = 1/2) and the most-tilted member (s = 1) of
+    the family at the normalized ``p``, from one stacked solve."""
+    _, solution = _tilted_stack(ch.w, p, [0.5, 1.0], FIXED_POINT_TOL)
+    return solution(0), solution(1)
+
+
 def _bisect(ch: Channel, p: np.ndarray, info: float, targets: list[float],
-            tol: float) -> list[TiltedSolution | None]:
+            tol: float, top: TiltedSolution) -> list[TiltedSolution | None]:
     """The solutions of :func:`sphere_packing_solutions` at the normalized
-    ``p``, for ``targets`` in (0, ``info``) with ``info`` = I(P, W)."""
+    ``p`` for ``targets`` in (0, ``info`` = I(P, W)), given ``top``, the s = 1 member."""
     found: list[TiltedSolution | None] = [None] * len(targets)
-    if not targets:
-        return found
-    top = tilted_fixed_point(ch, p, 1.0)
     open_ = []
     for i, rate in enumerate(targets):
         # below rate_top - tol every finite-divergence channel in the family
@@ -226,7 +232,9 @@ def sphere_packing_solutions(ch: Channel, input_dist, rate_targets,
     info = mutual_information_matrix(p, ch.w)
     if any(rate >= info for rate in targets):
         raise DomainError("target rate is not below I(P, W); the exponent is 0")
-    return _bisect(ch, p, info, targets, tol)
+    if not targets:
+        return []
+    return _bisect(ch, p, info, targets, tol, tilted_fixed_point(ch, p, 1.0))
 
 
 def sphere_packing_solution(ch: Channel, input_dist, rate_target: float,
@@ -243,27 +251,34 @@ def sphere_packing_solution(ch: Channel, input_dist, rate_target: float,
     return sol
 
 
-def _sphere_packing_values(ch: Channel, p: np.ndarray, rates: list[float],
-                           tol: float) -> list[float]:
-    """E_sp in bits at each rate, for the normalized ``p``: 0 for R >=
+def exponent_curve(ch: Channel, input_dist, rates, tol: float = 1e-9) -> ExponentCurve:
+    """Sample (R, E_sp, E_r) on a rate grid, in bits.  E_sp is 0 for R >=
     I(P, W), +inf where no channel with finite divergence meets the rate,
-    else the divergence witnessed by one lockstep bisection over the
-    remaining rates.  The zero test and the bisection share one I(P, W)."""
+    else the divergence witnessed by one lockstep bisection over the other
+    rates.  E_r is E_sp from the critical rate up and the slope -1 line
+    below it.  I(P, W), the s = 1/2 and s = 1 members and the bisection see
+    one P, ``as_distribution(input_dist)``.  A rate <= 0 is rejected before
+    any solve."""
+    rates = [float(rate) for rate in rates]
     if any(rate <= 0.0 for rate in rates):
         raise DomainError("rate must be positive")
+    p = as_distribution(input_dist, ch.input_size)
     info = mutual_information_matrix(p, ch.w)
-    found = iter(_bisect(ch, p, info, [rate for rate in rates if not rate >= info], tol))
-    # the bisection gives None where the exponent is infinite
-    return [0.0 if rate >= info else getattr(next(found), "divergence", math.inf)
-            for rate in rates]
+    crit, top = _ends(ch, p)
+    found = iter(_bisect(ch, p, info, [rate for rate in rates if not rate >= info], tol, top))
+    points = []
+    for rate in rates:
+        # the bisection gives None where the exponent is infinite
+        e_sp = 0.0 if rate >= info else getattr(next(found), "divergence", math.inf)
+        e_r = e_sp if rate >= crit.rate else crit.divergence + crit.rate - rate
+        points.append((rate, e_sp, e_r))
+    return ExponentCurve(points=tuple(points), critical_rate=crit.rate,
+                         e_sp_at_critical=crit.divergence)
 
 
 def sphere_packing(ch: Channel, input_dist, rate: float, tol: float = 1e-9) -> float:
-    """E_sp(R, P, W) in bits: 0 for R >= I(P, W), +inf when no channel with
-    finite divergence meets the rate constraint, else the witnessed minimum
-    divergence.  I(P, W) is evaluated once."""
-    return _sphere_packing_values(ch, as_distribution(input_dist, ch.input_size),
-                                  [rate], tol)[0]
+    """E_sp(R, P, W) in bits, the one point of :func:`exponent_curve` at R."""
+    return exponent_curve(ch, input_dist, [rate], tol).points[0][1]
 
 
 def critical_rate(ch: Channel, input_dist) -> TiltedSolution:
@@ -273,31 +288,8 @@ def critical_rate(ch: Channel, input_dist) -> TiltedSolution:
 
 
 def random_coding(ch: Channel, input_dist, rate: float, tol: float = 1e-9) -> float:
-    """E_r(R, P, W) in bits: equals E_sp above the critical rate and follows
-    the slope -1 supporting line below it."""
-    if rate <= 0.0:
-        raise DomainError("rate must be positive")
-    crit = critical_rate(ch, input_dist)
-    if rate >= crit.rate:
-        return sphere_packing(ch, input_dist, rate, tol)
-    return crit.divergence + crit.rate - rate
-
-
-def exponent_curve(ch: Channel, input_dist, rates, tol: float = 1e-9) -> ExponentCurve:
-    """Sample (R, E_sp, E_r) on a rate grid, sharing one critical-rate solve
-    and bisecting every rate in lockstep.  The critical rate, the zero test
-    and the bisection see one P, ``as_distribution(input_dist)``.  A rate
-    <= 0 is rejected before any solve."""
-    rates = [float(rate) for rate in rates]
-    p = as_distribution(input_dist, ch.input_size)
-    e_sp_values = _sphere_packing_values(ch, p, rates, tol)
-    crit = critical_rate(ch, p)
-    points = []
-    for rate, e_sp in zip(rates, e_sp_values):
-        e_r = e_sp if rate >= crit.rate else crit.divergence + crit.rate - rate
-        points.append((rate, e_sp, e_r))
-    return ExponentCurve(points=tuple(points), critical_rate=crit.rate,
-                         e_sp_at_critical=crit.divergence)
+    """E_r(R, P, W) in bits, the one point of :func:`exponent_curve` at R."""
+    return exponent_curve(ch, input_dist, [rate], tol).points[0][2]
 
 
 @dataclass(frozen=True)
@@ -330,15 +322,12 @@ def cscc_error_bound(ch: Channel, composition: Composition, rate: float,
     if blocklength < 1 or blocklength % composition.length != 0:
         raise DomainError("blocklength must be a positive multiple of the subblock length")
     shifted = rate + rate_loss(composition)
-    p = composition.probabilities()
-    crit = critical_rate(ch, p)
-    if shifted >= crit.rate:
-        e_sp = sphere_packing(ch, p, shifted, tol)
-        log2_value = 1.0 - blocklength * e_sp
-        branch, exponent = "sphere_packing", e_sp
-        vacuous = e_sp == 0.0
+    curve = exponent_curve(ch, composition.probabilities(), [shifted], tol)
+    (_, e_sp, exponent), = curve.points
+    if shifted >= curve.critical_rate:      # where E_r is E_sp
+        log2_value = 1.0 - blocklength * exponent
+        branch, vacuous = "sphere_packing", e_sp == 0.0
     else:
-        exponent = crit.divergence + crit.rate - shifted
         log2_value = -blocklength * exponent
         branch, vacuous = "straight_line", False
     value = 2.0 ** log2_value if log2_value < 1024.0 else math.inf

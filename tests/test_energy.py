@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -85,6 +86,23 @@ def test_max_subblock_length_rejects_a_non_finite_shape():
     for shape in ([np.nan, 1.0], [np.inf, 0.0]):
         with pytest.raises(DomainError, match="finite"):
             max_subblock_length(BINARY, shape, 0.5, 4.0, require_integral=True)
+
+
+def test_energy_bounds_reject_non_finite_demand_and_capacity():
+    # nan demand gave a drawdown of 0 and an UNBOUNDED length, inf demand a
+    # length of 0; nan and inf e_max raised ValueError and OverflowError
+    shape = [0.5, 0.5]
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            worst_case_drawdown(Composition((2, 2)), BINARY, bad)
+        with pytest.raises(DomainError, match="finite"):
+            adversarial_codeword(Composition((2, 2)), BINARY, bad)
+        for demand, e_max in ((bad, 4.0), (0.5, bad)):
+            with pytest.raises(DomainError, match="finite"):
+                max_subblock_length(BINARY, shape, demand, e_max)
+            # before the composition is checked
+            with pytest.raises(DomainError, match="finite"):
+                max_subblock_length(BINARY, Composition((1, 1, 1)), demand, e_max)
 
 
 def test_max_subblock_length_rejects_a_composition_over_another_alphabet():

@@ -324,11 +324,42 @@ def test_exponent_curve_makes_one_stacked_solve_per_bisection_level(monkeypatch)
     depth = 0
     for rate in rates:
         sphere_packing(ch, UNIFORM, rate)
-        depth = max(depth, len(calls) - 1)      # the s = 1 solve, then one per level
+        depth = max(depth, len(calls) - 1)      # the ends' solve, then one per level
         calls.clear()
     exponent_curve(ch, UNIFORM, rates)
-    # the critical rate, the s = 1 solve, then one solve per level of the deepest rate
-    assert len(calls) == 2 + depth
+    # s = 1/2 and s = 1 in one solve, then one solve per level of the deepest rate
+    assert len(calls) == 1 + depth and calls[0] == 2
+
+
+def fourth_random_composition():
+    ch, p = fourth_random_channel()
+    return ch, tuple(int(c) for c in np.round(p * 64))
+
+
+@pytest.mark.parametrize("ch, counts", [
+    (Channel.bsc(0.1), (32, 32)),
+    (Channel.bec(0.3), (32, 32)),
+    (Channel.z(0.3), (19, 45)),
+    (TERNARY, (35, 10, 5)),
+    (DENSE, (5, 10, 15, 20)),
+    (Channel.noiseless(3), (10, 25, 15)),
+    fourth_random_composition(),
+], ids=["bsc", "bec", "z", "ternary", "dense", "noiseless", "fourth-random"])
+def test_wrappers_equal_their_exponent_curve_entries(ch, counts):
+    comp = Composition(counts)
+    p = comp.probabilities()
+    info = mutual_information(p, ch)
+    rates = [info * f for f in (0.02, 0.5, 0.9, 1.0, 1.2)]
+    curve = exponent_curve(ch, p, rates)
+    shifted = exponent_curve(ch, p, [rate + rate_loss(comp) for rate in rates])
+    assert any(rate < curve.critical_rate for rate in rates)
+    for (rate, e_sp, e_r), (shifted_rate, _, e_r_shifted) in zip(curve.points, shifted.points):
+        assert sphere_packing(ch, p, rate) == e_sp
+        assert random_coding(ch, p, rate) == e_r
+        bound = cscc_error_bound(ch, comp, rate, 4 * comp.length)
+        assert (bound.shifted_rate, bound.exponent) == (shifted_rate, e_r_shifted)
+        assert bound.branch == ("sphere_packing" if shifted_rate >= shifted.critical_rate
+                                else "straight_line")
 
 
 def test_one_curve_sees_one_p_and_one_mutual_information(monkeypatch):

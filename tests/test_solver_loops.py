@@ -24,7 +24,7 @@ from subblock import (Channel, as_distribution, divergence_conditional,
                       tilted_fixed_points)
 from subblock.capacity import blahut_arimoto
 from subblock.channel import mutual_information_matrix
-from subblock.exponent import FIXED_POINT_TOL
+from subblock.exponent import FIXED_POINT_TOL, _ends
 
 TERNARY = Channel([[0.8, 0.15, 0.05],
                    [0.1, 0.7, 0.2],
@@ -195,6 +195,10 @@ def test_stacked_members_equal_their_solo_solves(ch, p):
     tilts = STACKED_TILTS + [0.0, 0.999, 0.5 + 1e-9]
     for sol, s in zip(tilted_fixed_points(ch, p, tilts), tilts):
         assert_same_solution(sol, tilted_fixed_point(ch, p, s))
+    # the critical and most-tilted members, which exponent_curve solves together
+    crit, top = _ends(ch, as_distribution(p, ch.input_size))
+    assert_same_solution(crit, tilted_fixed_point(ch, p, 0.5))
+    assert_same_solution(top, tilted_fixed_point(ch, p, 1.0))
 
 
 def reference_sphere_packing(ch, input_dist, rate, tol):

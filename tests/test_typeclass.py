@@ -1,7 +1,11 @@
 import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from subblock import (Channel, Composition, DomainError, EmptyFeasibleSet,
                       feasible_compositions, log_type_class_size,
                       materialize_type_class, rate_loss, type_class_blocks,
                       type_class_size)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_enumeration_examples():
@@ -178,19 +184,29 @@ def test_type_class_blocks_cut_the_class_in_order(counts):
         assert len(buffers) == 1
 
 
+BLOCK_PEAK = """
+import tracemalloc
+from subblock import Composition, type_class_blocks
+blocks = type_class_blocks(Composition((10, 10)), 1000)
+tracemalloc.start()
+count = sum(1 for _ in blocks)
+print(count, tracemalloc.get_traced_memory()[1])
+"""
+
+
 def test_type_class_blocks_hold_one_block():
     # 184,756 rows of 20 symbols, in blocks of 1,000: the whole class is
-    # 3.7 MB, one block 20 KB with a few int64 per row to fill it
-    comp = Composition((10, 10))
-    blocks = type_class_blocks(comp, 1000)
-    tracemalloc.start()
-    try:
-        count = sum(1 for _ in blocks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # 3.7 MB, one block 20 KB with a few int64 per row to fill it.  Measured
+    # in a fresh interpreter, as state that earlier tests leave behind
+    # raises the peak by up to 25 KB
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", BLOCK_PEAK], capture_output=True,
+                         text=True, env=env, check=True)
+    count, peak = map(int, run.stdout.split())
     assert count == 185
     assert peak < 1000 * (20 + 6 * 8) + 16 * 1024
+    comp = Composition((10, 10))
     with pytest.raises(SizeLimit):
         next(type_class_blocks(comp, 1000, cap=100))
 
