@@ -25,9 +25,9 @@ import numpy as np
 from .channel import (Channel, as_distribution, conditional_entropy,
                       mutual_information)
 from .errors import DomainError, Infeasible, SizeLimit
-from .typeclass import (FEASIBILITY_TOL, Composition, composition_count,
-                        enumerate_compositions, feasible_rows, log_type_class_size,
-                        type_class_blocks, type_class_size)
+from .typeclass import (FEASIBILITY_TOL, Composition, composition_array,
+                        composition_count, enumerate_compositions, feasible_rows,
+                        log_type_class_size, type_class_blocks, type_class_size)
 
 CLASS_CAP = 10**6          # sequences per input type class; bounds time, not memory
 OUTPUT_TYPE_CAP = 10**5    # number of output type classes
@@ -267,20 +267,25 @@ def cscc_composition_rate(ch: Channel, composition: Composition) -> CapacityResu
 
 class ClassTable:
     """The type classes of one channel and subblock length as rows, in
-    :func:`enumerate_compositions` order: ``compositions``, their ``counts``
-    and mean ``energies``, and, computed on demand and kept, each row's
-    output law P(y_Q | P), unclamped CSCC rate in bits/use and bound
-    :func:`class_rate_bound`.  A threshold is an argument of the readers,
-    not of the table, so one table serves a whole sweep of thresholds and
-    computes each class at most once."""
+    :func:`composition_array` order: ``compositions``, their ``counts``,
+    mean ``energies`` and ``bounds`` u(P) = min(I(P, W), log2|T_P| / L) on
+    their CSCC rates in bits/use (I(X^L; Y^L) is at most L I(P, W), each
+    letter having marginal P, and at most H(X^L)); and, computed on demand
+    and kept, each row's output law P(y_Q | P) and unclamped CSCC rate.  A
+    threshold is an argument of the readers, so one table serves a whole
+    sweep of thresholds and computes each class at most once."""
 
     def __init__(self, ch: Channel, length: int):
         self.ch, self.length = ch, length
-        self.compositions = enumerate_compositions(ch.input_size, length)
-        self.counts = np.array([comp.counts for comp in self.compositions])
-        self.energies = np.array([comp.mean_energy(ch.energy) for comp in self.compositions])
+        self.counts = composition_array(ch.input_size, length)
+        self.compositions = [Composition(tuple(row)) for row in self.counts.tolist()]
+        self.energies = self.counts @ ch.energy / length
+        p = self.counts / length
+        info = np.maximum(_row_entropies(p @ ch.w) - p @ _row_entropies(ch.w), 0.0)
+        log2_fact = np.array([math.lgamma(c + 1) for c in range(length + 1)]) / LN2 / length
+        self.bounds = np.minimum(info, log2_fact[length] - log2_fact[self.counts].sum(axis=1))
         self._sizes, self._laws = None, [None] * len(self.compositions)
-        self._rates, self._bounds = np.full((2, len(self.compositions)), np.nan)
+        self._rates = np.full(len(self.compositions), np.nan)
 
     def feasible(self, threshold: float) -> np.ndarray:
         """The rows feasible at ``threshold``, in order, those of
@@ -313,20 +318,10 @@ class ClassTable:
         laws.setflags(write=False)
         return self._sizes, laws
 
-    def bounds(self, rows) -> np.ndarray:
-        """:func:`class_rate_bound` of each of ``rows``."""
-        for i in rows[np.isnan(self._bounds[rows])]:
-            self._bounds[i] = class_rate_bound(self.ch, self.compositions[i])
-        return self._bounds[rows]
 
-
-def class_rate_bound(ch: Channel, composition: Composition) -> float:
-    """u(P) = min(I(P, W), log2|T_P| / L) in bits/use, a closed-form upper
-    bound on the CSCC rate of the class of ``composition``.  Under the input
-    uniform on T_P every letter has marginal P and the channel is memoryless,
-    so I(X^L; Y^L) <= L I(P, W); and I(X^L; Y^L) <= H(X^L) = log2|T_P|."""
-    return min(ccc_composition_rate(ch, composition),
-               log_type_class_size(composition) / composition.length)
+def _row_entropies(m: np.ndarray) -> np.ndarray:
+    """The entropy in bits of each row of ``m``, with 0 log 0 = 0."""
+    return -np.where(m > 0.0, m * np.log2(np.where(m > 0.0, m, 1.0)), 0.0).sum(axis=-1)
 
 
 def cscc_from_table(table: ClassTable, threshold: float) -> CapacityResult:
@@ -335,12 +330,12 @@ def cscc_from_table(table: ClassTable, threshold: float) -> CapacityResult:
     ``RATE_TIE_TOL`` of the largest mean energy and picks the smallest counts
     vector.  The rule reads a set, so the pick does not depend on scan order.
 
-    Rates are computed in decreasing :func:`class_rate_bound`, ties in
+    Rates are computed in decreasing ``table.bounds``, ties in
     :meth:`ClassTable.feasible` order, until a bound is below the best rate so
     far by more than ``RATE_TIE_TOL + _PRUNE_MARGIN``: that class, and every
     later one, can be neither the top nor inside its tie window."""
     rows = table.feasible(threshold)
-    bounds = table.bounds(rows)
+    bounds = table.bounds[rows]
     order = np.argsort(-bounds, kind="stable")
     rates, top = [], -math.inf
     for bound, row in zip(bounds[order].tolist(), rows[order].tolist()):

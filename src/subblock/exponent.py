@@ -226,8 +226,8 @@ def sphere_packing_solutions(ch: Channel, input_dist, rate_targets,
     point see one P, ``as_distribution(input_dist)``.
     """
     targets = [float(rate) for rate in rate_targets]
-    if any(rate <= 0.0 for rate in targets):
-        raise DomainError("rate must be positive")
+    if not all(0.0 < rate < math.inf for rate in targets):
+        raise DomainError("rate must be positive and finite")
     p = as_distribution(input_dist, ch.input_size)
     info = mutual_information_matrix(p, ch.w)
     if any(rate >= info for rate in targets):
@@ -257,11 +257,11 @@ def exponent_curve(ch: Channel, input_dist, rates, tol: float = 1e-9) -> Exponen
     else the divergence witnessed by one lockstep bisection over the other
     rates.  E_r is E_sp from the critical rate up and the slope -1 line
     below it.  I(P, W), the s = 1/2 and s = 1 members and the bisection see
-    one P, ``as_distribution(input_dist)``.  A rate <= 0 is rejected before
-    any solve."""
+    one P, ``as_distribution(input_dist)``.  A rate <= 0, infinite or NaN is
+    rejected before any solve."""
     rates = [float(rate) for rate in rates]
-    if any(rate <= 0.0 for rate in rates):
-        raise DomainError("rate must be positive")
+    if not all(0.0 < rate < math.inf for rate in rates):
+        raise DomainError("rate must be positive and finite")
     p = as_distribution(input_dist, ch.input_size)
     info = mutual_information_matrix(p, ch.w)
     crit, top = _ends(ch, p)
@@ -317,8 +317,8 @@ def cscc_error_bound(ch: Channel, composition: Composition, rate: float,
     2^(-n (E_sp(critical) + critical - R')).  ``blocklength`` must be a
     multiple of the subblock length.
     """
-    if rate <= 0.0:
-        raise DomainError("rate must be positive")
+    if not 0.0 < rate < math.inf:
+        raise DomainError("rate must be positive and finite")
     if blocklength < 1 or blocklength % composition.length != 0:
         raise DomainError("blocklength must be a positive multiple of the subblock length")
     shifted = rate + rate_loss(composition)
@@ -338,6 +338,5 @@ def cscc_error_bound(ch: Channel, composition: Composition, rate: float,
 def cscc_exponent_lower_bound(ch: Channel, composition: Composition,
                               rate: float, tol: float = 1e-9) -> float:
     """Achievable error exponent for a CSCC: the random-coding exponent at the
-    rate shifted up by r(L, P)."""
-    return random_coding(ch, composition.probabilities(),
-                         rate + rate_loss(composition), tol)
+    rate shifted up by r(L, P), the exponent of :func:`cscc_error_bound`."""
+    return cscc_error_bound(ch, composition, rate, composition.length, tol).exponent

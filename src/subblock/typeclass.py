@@ -64,12 +64,12 @@ def composition_count(alphabet_size: int, length: int) -> int:
     return math.comb(length + alphabet_size - 1, alphabet_size - 1)
 
 
-def enumerate_compositions(alphabet_size: int, length: int) -> list[Composition]:
-    """All compositions of ``length`` into ``alphabet_size`` parts, in
-    lexicographic order of the counts vector.
-
-    Raises :class:`SizeLimit` when the count would exceed ``ENUMERATION_CAP``.
-    """
+def composition_array(alphabet_size: int, length: int) -> np.ndarray:
+    """The compositions of ``length`` into ``alphabet_size`` parts as the
+    rows of an ``(N, alphabet_size)`` int array, in lexicographic order, as
+    stars and bars gives them from the bars' positions listed in
+    lexicographic order.  Raises :class:`SizeLimit` before allocating when
+    N would exceed ``ENUMERATION_CAP``."""
     if alphabet_size < 1 or length < 1:
         raise DomainError("alphabet size and length must be positive")
     total = composition_count(alphabet_size, length)
@@ -77,11 +77,16 @@ def enumerate_compositions(alphabet_size: int, length: int) -> list[Composition]
         raise SizeLimit(
             f"{total} compositions exceed the enumeration cap of {ENUMERATION_CAP}"
         )
-    # stars and bars: the bars' positions, in lexicographic order, give the
-    # counts vectors in lexicographic order
     stop = length + alphabet_size - 1
-    return [Composition(tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (stop,))))
-            for bars in itertools.combinations(range(stop), alphabet_size - 1)]
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(
+        range(stop), alphabet_size - 1)), np.intp, total * (alphabet_size - 1))
+    return np.diff(bars.reshape(total, alphabet_size - 1), prepend=-1, append=stop) - 1
+
+
+def enumerate_compositions(alphabet_size: int, length: int) -> list[Composition]:
+    """The rows of :func:`composition_array` as :class:`Composition` values."""
+    return [Composition(tuple(row))
+            for row in composition_array(alphabet_size, length).tolist()]
 
 
 def type_class_size(composition: Composition) -> int:
@@ -110,11 +115,10 @@ def rate_loss(composition: Composition) -> float:
 def feasible_compositions(ch: Channel, length: int,
                           threshold: float) -> tuple[Composition, ...]:
     """Compositions of ``length``, in lexicographic order, whose mean energy
-    is at least ``threshold`` (with absolute slack ``FEASIBILITY_TOL`` so
-    boundary members survive floating-point noise)."""
-    members = enumerate_compositions(ch.input_size, length)
-    energies = [comp.mean_energy(ch.energy) for comp in members]
-    return tuple(members[i] for i in feasible_rows(energies, length, threshold))
+    ``counts @ b / L`` passes :func:`feasible_rows` at ``threshold``."""
+    counts = composition_array(ch.input_size, length)
+    rows = feasible_rows(counts @ ch.energy / length, length, threshold)
+    return tuple(Composition(tuple(row)) for row in counts[rows].tolist())
 
 
 def feasible_rows(energies, length: int, threshold: float) -> np.ndarray:

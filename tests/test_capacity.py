@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 from subblock import (Channel, Composition, DomainError, EmptyFeasibleSet,
                       Infeasible, SizeLimit, capacity_power, ccc_composition_rate,
                       cscc_capacity, cscc_composition_rate,
-                      cscc_composition_rate_bruteforce, enumerate_compositions,
-                      feasible_compositions, mutual_information, type_class_size,
-                      vector_channel)
+                      cscc_composition_rate_bruteforce, feasible_compositions,
+                      mutual_information, type_class_size, vector_channel)
 import subblock.capacity
-from subblock.capacity import (ClassTable, check_class_caps, class_laws, class_rate_bound,
-                               class_rates, cscc_from_table)
+from subblock.capacity import (ClassTable, check_class_caps, class_laws, class_rates,
+                               cscc_from_table)
 from subblock.oracle import two_input_ccc
 
 
@@ -123,12 +122,10 @@ class _StubTable:
         self.counts = np.array([comp.counts for comp in self.compositions])
         self.energies = np.array([energy for _, energy, _ in classes])
         self._rates = np.array([rate for _, _, rate in classes])
+        self.bounds = np.ones(len(classes))
 
     def feasible(self, threshold):
         return np.arange(len(self.compositions))
-
-    def bounds(self, rows):
-        return np.ones(len(rows))
 
     def rates(self, rows):
         return self._rates[rows]
@@ -357,15 +354,21 @@ def channels_with_zeros(draw):
     return Channel(w / w.sum(axis=1, keepdims=True), energy)
 
 
+def table_bound(ch, counts):
+    """u(P) of the class ``counts`` from a fresh :class:`ClassTable`."""
+    table = ClassTable(ch, sum(counts))
+    return table.bounds[table.compositions.index(Composition(counts))]
+
+
 def test_class_rate_bound_closed_forms():
     noiseless = Channel.noiseless(2, (0.0, 1.0))
     # log2|T_P| / L is the smaller term on a noiseless channel
-    assert abs(class_rate_bound(noiseless, Composition((1, 1))) - 0.5) <= 1e-15
-    assert abs(class_rate_bound(noiseless, Composition((4, 4))) - math.log2(70) / 8) <= 1e-15
-    # I(P, W) is the smaller term on a noisy one
-    assert class_rate_bound(bsc(0.1), Composition((4, 4))) \
-        == ccc_composition_rate(bsc(0.1), Composition((4, 4)))
-    assert class_rate_bound(bsc(0.1), Composition((0, 5))) == 0.0
+    assert abs(table_bound(noiseless, (1, 1)) - 0.5) <= 1e-15
+    assert abs(table_bound(noiseless, (4, 4)) - math.log2(70) / 8) <= 1e-15
+    # I(P, W) = 1 - h(0.1) is the smaller term on a noisy one
+    h = -0.1 * math.log2(0.1) - 0.9 * math.log2(0.9)
+    assert abs(table_bound(bsc(0.1), (4, 4)) - (1.0 - h)) <= 1e-15
+    assert table_bound(bsc(0.1), (0, 5)) == 0.0
 
 
 # The bound holds exactly; the computed rates carry rounding, hence 1e-12.
@@ -373,18 +376,17 @@ def test_class_rate_bound_closed_forms():
 @settings(max_examples=30, deadline=None)
 @given(ch=channels_with_zeros(), length=st.integers(1, 6))
 def test_class_rate_bound_dominates_the_oracle(ch, length):
-    for comp in enumerate_compositions(ch.input_size, length):
-        assert class_rate_bound(ch, comp) >= \
-            cscc_composition_rate_bruteforce(ch, comp) - 1e-12
+    table = ClassTable(ch, length)
+    for comp, bound in zip(table.compositions, table.bounds.tolist()):
+        assert bound >= cscc_composition_rate_bruteforce(ch, comp) - 1e-12
 
 
 @settings(max_examples=30, deadline=None)
 @given(ch=channels_with_zeros(), length=st.integers(1, 12))
 def test_class_rate_bound_dominates_the_kernel(ch, length):
-    compositions = enumerate_compositions(ch.input_size, length)
-    rates = class_rates(ch, compositions, *class_laws(ch.w, compositions, length))
-    for comp, rate in zip(compositions, rates):
-        assert class_rate_bound(ch, comp) >= rate - 1e-12
+    table = ClassTable(ch, length)
+    rows = np.arange(len(table.compositions))
+    assert (table.bounds >= table.rates(rows) - 1e-12).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -395,13 +397,13 @@ def test_pruned_scan_matches_the_full_scan(ch, length, levels):
     low, high = sorted(float(b.min() + t * (b.max() - b.min())) for t in levels)
     table = ClassTable(ch, length)
     pruned = [cscc_from_table(table, low), cscc_from_table(table, high)]
-    eager = ClassTable(ch, length)
-    feasible = eager.feasible(low)
-    assert len(eager.rates(feasible)) == len(feasible)      # every row, up front
     # with no class ruled out the scan is the plain tie rule over every row
-    with mock.patch.object(subblock.capacity, "class_rate_bound",
-                           lambda ch, comp: math.inf):
-        full = [cscc_from_table(eager, low), cscc_from_table(eager, high)]
+    unbounded = ClassTable(ch, length)
+    unbounded.bounds = np.full(len(unbounded.bounds), math.inf)
+    with mock.patch.object(unbounded, "rates", wraps=unbounded.rates) as rates:
+        full = [cscc_from_table(unbounded, low), cscc_from_table(unbounded, high)]
+    scanned = {row for call in rates.call_args_list for row in call.args[0]}
+    assert scanned == set(unbounded.feasible(low).tolist())
     assert pruned == full
     assert pruned[0] == cscc_capacity(ch, length, low)
 

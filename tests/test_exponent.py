@@ -10,7 +10,7 @@ from subblock import (Channel, Composition, DomainError, InfiniteExponent,
                       NoConvergence, critical_rate, cscc_error_bound,
                       cscc_exponent_lower_bound, exponent_curve,
                       mutual_information, random_coding, rate_loss,
-                      sphere_packing, sphere_packing_solution,
+                      sphere_packing, sphere_packing_solution, sphere_packing_solutions,
                       tilted_fixed_point, tilted_fixed_points)
 from subblock.oracle import grid_oracle_esp_bsc
 
@@ -315,6 +315,33 @@ def test_exponent_curve_rejects_a_nonpositive_rate_before_any_solve(monkeypatch)
     assert calls == []
     exponent_curve(ch, UNIFORM, [0.1, 0.2, 0.3])
     assert calls
+
+
+def test_exponent_routes_reject_a_non_finite_rate_before_any_solve(monkeypatch):
+    # a NaN rate would pass a rate <= 0 test and exhaust the bisection, and
+    # an infinite one would read E_sp = E_r = 0
+    calls = counted_stacked_solves(monkeypatch)
+    ch = Channel.bsc(0.1)
+    for bad in (math.nan, math.inf):
+        for route in (lambda: exponent_curve(ch, UNIFORM, [0.1, bad]),
+                      lambda: sphere_packing_solutions(ch, UNIFORM, [0.1, bad]),
+                      lambda: sphere_packing(ch, UNIFORM, bad),
+                      lambda: random_coding(ch, UNIFORM, bad),
+                      lambda: cscc_error_bound(ch, Composition((4, 4)), bad, 8)):
+            with pytest.raises(DomainError):
+                route()
+    assert calls == []
+
+
+def test_cscc_exponent_lower_bound_rejects_a_rate_that_is_not_positive(monkeypatch):
+    calls = counted_stacked_solves(monkeypatch)
+    ch, comp = Channel.bsc(0.1), Composition((32, 32))
+    for bad in (-0.01, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            cscc_exponent_lower_bound(ch, comp, bad)
+    assert calls == []
+    assert cscc_exponent_lower_bound(ch, comp, 0.2) \
+        == random_coding(ch, comp.probabilities(), 0.2 + rate_loss(comp))
 
 
 def test_exponent_curve_makes_one_stacked_solve_per_bisection_level(monkeypatch):

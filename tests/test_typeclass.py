@@ -7,14 +7,19 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import subblock.typeclass
 from subblock import (Channel, Composition, DomainError, EmptyFeasibleSet,
                       SizeLimit, composition_count, enumerate_compositions,
                       feasible_compositions, log_type_class_size,
                       materialize_type_class, rate_loss, type_class_blocks,
                       type_class_size)
+from subblock.capacity import ClassTable
+from subblock.typeclass import FEASIBILITY_TOL, composition_array
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -54,6 +59,71 @@ def test_enumeration_list_is_freed_without_the_cycle_collector():
 def test_enumeration_size_limit():
     with pytest.raises(SizeLimit):
         enumerate_compositions(30, 100)
+
+
+def stars_and_bars(alphabet_size, length):
+    """The compositions by stars and bars over tuples: the bars' positions,
+    listed by itertools in lexicographic order."""
+    stop = length + alphabet_size - 1
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (stop,)))
+            for bars in itertools.combinations(range(stop), alphabet_size - 1)]
+
+
+def test_composition_array_matches_stars_and_bars():
+    for alphabet in range(1, 5):
+        for length in range(1, 13):
+            counts = composition_array(alphabet, length)
+            rows = [tuple(row) for row in counts.tolist()]
+            assert counts.shape == (composition_count(alphabet, length), alphabet)
+            assert rows == stars_and_bars(alphabet, length)
+            assert (counts.sum(axis=1) == length).all() and (counts >= 0).all()
+            assert rows == sorted(set(rows))
+            assert [c.counts for c in enumerate_compositions(alphabet, length)] == rows
+
+
+def test_composition_array_checks_the_cap_before_allocating():
+    cap = composition_count(3, 12)
+    with mock.patch.object(subblock.typeclass, "ENUMERATION_CAP", cap):
+        assert len(composition_array(3, 12)) == cap
+        with pytest.raises(SizeLimit):
+            composition_array(3, 13)
+        # 302,621 rows of 4 counts would take 9.7 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit):
+                composition_array(4, 120)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 64 * 1024
+    with pytest.raises(DomainError):
+        composition_array(0, 3)
+
+
+GOLDEN_CHANNELS = [Channel.bsc(0.1), Channel.bsc(0.01), Channel.noiseless(2),
+                   Channel.load(Path(__file__).parent / "golden" / "ternary.txt")]
+
+
+def test_table_energies_match_the_per_object_route():
+    rng = np.random.default_rng(5)
+    channels = GOLDEN_CHANNELS + [Channel(np.eye(k), rng.random(k) * 10.0 ** rng.uniform(-3, 3))
+                                  for k in rng.integers(2, 5, size=40)]
+    for ch in channels:
+        for length in range(1, 13):
+            table = ClassTable(ch, length)
+            exact = np.array([c.mean_energy(ch.energy) for c in table.compositions])
+            assert (np.abs(table.energies - exact) <= 4e-16 * exact).all()
+
+
+def test_table_feasible_sets_match_the_per_object_route():
+    for ch in GOLDEN_CHANNELS:
+        for length in range(1, 13):
+            table = ClassTable(ch, length)
+            for threshold in np.linspace(0.0, 1.0, 21).tolist():
+                members = [c for c in enumerate_compositions(ch.input_size, length)
+                           if c.mean_energy(ch.energy) >= threshold - FEASIBILITY_TOL]
+                assert [table.compositions[i] for i in table.feasible(threshold)] == members
+                assert list(feasible_compositions(ch, length, threshold)) == members
 
 
 def test_log_type_class_size_examples():
