@@ -26,8 +26,8 @@ from .channel import (Channel, as_distribution, conditional_entropy,
                       mutual_information)
 from .errors import DomainError, Infeasible, SizeLimit
 from .typeclass import (FEASIBILITY_TOL, Composition, composition_array,
-                        composition_count, enumerate_compositions, feasible_rows,
-                        log_type_class_size, type_class_blocks, type_class_size)
+                        composition_count, feasible_rows, log_type_class_size,
+                        type_class_blocks, type_class_size)
 
 CLASS_CAP = 10**6          # sequences per input type class; bounds time, not memory
 OUTPUT_TYPE_CAP = 10**5    # number of output type classes
@@ -50,13 +50,13 @@ class CapacityResult:
     residual: float = 0.0
 
 
-def check_class_caps(output_size: int, compositions, length: int) -> None:
+def check_class_caps(output_size: int, rows, length: int) -> None:
     """Raise :class:`SizeLimit` from closed-form counts, before any class is
-    filled, if an input type class exceeds ``CLASS_CAP``, the output type
-    classes of length ``length`` over ``output_size`` symbols exceed
-    ``OUTPUT_TYPE_CAP``, or the largest of them, the most balanced, has more
-    sequences than a float holds.  The kernel holds one block of a class at
-    a time, so ``CLASS_CAP`` bounds its time, not its memory."""
+    filled, if the class of a row of ``rows`` exceeds ``CLASS_CAP``, the
+    output type classes of length ``length`` over ``output_size`` symbols
+    exceed ``OUTPUT_TYPE_CAP``, or the largest of them, the most balanced,
+    has more sequences than a float holds.  The kernel holds one block of a
+    class at a time, so ``CLASS_CAP`` bounds its time, not its memory."""
     n_out = composition_count(output_size, length)
     if n_out > OUTPUT_TYPE_CAP:
         raise SizeLimit(
@@ -64,27 +64,27 @@ def check_class_caps(output_size: int, compositions, length: int) -> None:
     k = output_size
     widest = Composition(tuple(length // k + (y < length % k) for y in range(k)))
     bits = log_type_class_size(widest)      # the exact count only near 2**1024
-    if bits > 1025 or (bits > 1023 and type_class_size(widest) > sys.float_info.max):
+    if bits > 1025 or (bits > 1023 and type_class_size(widest.counts) > sys.float_info.max):
         raise SizeLimit(f"output type class {widest.counts} has more sequences "
                         f"than a float holds")
-    for comp in compositions:
-        n = type_class_size(comp)
+    for counts in rows:
+        n = type_class_size(counts)
         if n > CLASS_CAP:
-            raise SizeLimit(f"type class {comp.counts} has {n} sequences, "
+            raise SizeLimit(f"type class {tuple(counts)} has {n} sequences, "
                             f"above the cap of {CLASS_CAP}")
 
 
-def class_laws(a, compositions, length: int) -> tuple[np.ndarray, np.ndarray]:
+def class_laws(a, rows, length: int) -> tuple[np.ndarray, np.ndarray]:
     """The P(y_Q) kernel over a nonnegative letter matrix ``a`` of shape
     ``(..., |X|, |Y|)``, a channel's ``w`` or a stack of them: ``(sizes,
     laws)`` where ``sizes[j]`` is |T_Q| of the j-th output type class Q of
-    length ``length`` (in :func:`enumerate_compositions` order) and
-    ``laws[..., i, j]`` is the mean over the sequences x of the type class of
-    ``compositions[i]`` of a(x_0, y_0) * ... * a(x_{L-1}, y_{L-1}), for each
-    matrix of the stack.  For a channel this is P(y_Q | P) with the input
-    uniform on the type class; by symmetry every member of Q has this
-    probability, so y_Q is taken as the canonical representative (symbols
-    sorted non-decreasing).
+    length ``length`` (row j of ``composition_array(|Y|, length)``) and
+    ``laws[..., i, j]`` is the mean over the sequences x of the class of the
+    counts row ``rows[i]`` (|X| counts summing to ``length``) of
+    a(x_0, y_0) * ... * a(x_{L-1}, y_{L-1}), for each matrix of the stack.
+    For a channel this is P(y_Q | P) with the input uniform on the type
+    class; by symmetry every member of Q has this probability, so y_Q is
+    taken as the canonical representative (symbols sorted non-decreasing).
 
     Each class is filled once per call, whatever the stack, in blocks of
     ``_BLOCK`` sequences (:func:`type_class_blocks`), and only one block is
@@ -109,20 +109,20 @@ def class_laws(a, compositions, length: int) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("the letter matrix must be finite and nonnegative, "
                           "of shape (..., |X|, |Y|)")
     inputs, outputs = a.shape[-2:]
-    check_class_caps(outputs, compositions, length)
-    if any(comp.alphabet_size != inputs for comp in compositions):
-        raise DomainError("composition alphabet does not match the letter matrix")
+    if any(len(counts) != inputs or sum(counts) != length for counts in rows):
+        raise DomainError("a counts row does not match the letter matrix and length")
+    check_class_caps(outputs, rows, length)
     stack = a.reshape(-1, inputs, outputs)
-    otypes = enumerate_compositions(outputs, length)
+    otypes = composition_array(outputs, length).tolist()
     plan = _prefix_plan(otypes)
     sizes = np.array([float(type_class_size(q)) for q in otypes])
-    laws = np.empty((len(stack), len(compositions), len(otypes)))
-    for i, comp in enumerate(compositions):
-        n = type_class_size(comp)
+    laws = np.empty((len(stack), len(rows), len(otypes)))
+    for i, counts in enumerate(rows):
+        n = type_class_size(counts)
         width = max(1, _BLOCK // min(n, _BLOCK))
         parts = [np.concatenate([_block_sums(stack[first:first + width], block, plan)
                                  for first in range(0, len(stack), width)])
-                 for block in type_class_blocks(comp, _BLOCK, CLASS_CAP)]
+                 for block in type_class_blocks(counts, _BLOCK, CLASS_CAP)]
         for m, blocks in enumerate(zip(*parts)):
             laws[m, i] = [math.fsum(column) / n for column in zip(*blocks)]
     laws = laws.reshape(a.shape[:-2] + laws.shape[1:])
@@ -137,8 +137,8 @@ def _prefix_plan(otypes) -> list[tuple[int, int, int, int, int, int]]:
     visiting order.  A run's nodes take symbol ``y`` at depths ``first`` to
     ``stop - 1`` on ``level``; the first extends the products on level
     ``parent`` (-1: the root), each later one the node before it, and
-    ``j >= 0`` is the output type, in :func:`enumerate_compositions` order,
-    whose leaf ends the run.
+    ``j >= 0`` is the output type, the index of its counts in ``otypes``,
+    the rows of ``composition_array(|Y|, L)``, whose leaf ends the run.
 
     A node's children with a higher symbol go one level up and come first,
     in ascending order; the child that repeats its symbol comes last, on the
@@ -148,8 +148,8 @@ def _prefix_plan(otypes) -> list[tuple[int, int, int, int, int, int]]:
     on the top symbol it goes straight to the leaf.  The stack holds
     ``(parent, level, depth, y, counts)``, ``counts`` those of the symbols
     below ``y``."""
-    top, length = otypes[0].alphabet_size - 1, otypes[0].length
-    index = {q.counts: j for j, q in enumerate(otypes)}
+    top, length = len(otypes[0]) - 1, sum(otypes[0])
+    index = {tuple(q): j for j, q in enumerate(otypes)}
     plan = []
     stack = [(-1, 0, 0, y, (0,) * y) for y in range(top, -1, -1)]
     while stack:
@@ -241,59 +241,57 @@ def _block_sums(part: np.ndarray, block: np.ndarray, plan) -> np.ndarray:
     return sums
 
 
-def class_rates(ch: Channel, compositions, sizes: np.ndarray,
+def class_rates(ch: Channel, rows, sizes: np.ndarray,
                 laws: np.ndarray) -> list[float]:
-    """CSCC rate (bits/use) of each class in ``compositions``, from the
+    """CSCC rate (bits/use) of each counts row of ``rows``, from the
     ``(sizes, laws)`` that :func:`class_laws` returns for them:
     (1/L) sum_Q |T_Q| P(y_Q) log2(1 / P(y_Q)) - H(Y|X), with H(Y|X) from the
     class's pairwise law.  Unclamped, so rounding may leave a rate a few ulps
     below zero."""
     counts, rates = sizes.tolist(), []
-    for comp, law in zip(compositions, laws):
+    for row, law in zip(rows, laws):
         terms = [size * p_y * (-math.log2(p_y))
                  for size, p_y in zip(counts, law.tolist()) if p_y > 0.0]
-        rates.append(math.fsum(terms) / comp.length
-                     - conditional_entropy(ch, comp.probabilities()))
+        rates.append(math.fsum(terms) / sum(row)
+                     - conditional_entropy(ch, np.divide(row, sum(row))))
     return rates
 
 
 def cscc_composition_rate(ch: Channel, composition: Composition) -> CapacityResult:
     """CSCC rate (bits/use) for a fixed subblock composition, via the
     symmetry-reduced output-type sum."""
-    rate, = class_rates(ch, [composition],
-                        *class_laws(ch.w, [composition], composition.length))
+    rows = [composition.counts]
+    rate, = class_rates(ch, rows, *class_laws(ch.w, rows, composition.length))
     return CapacityResult(rate=max(rate, 0.0), composition=composition)
 
 
 class ClassTable:
     """The type classes of one channel and subblock length as rows, in
-    :func:`composition_array` order: ``compositions``, their ``counts``,
-    mean ``energies`` and ``bounds`` u(P) = min(I(P, W), log2|T_P| / L) on
-    their CSCC rates in bits/use (I(X^L; Y^L) is at most L I(P, W), each
-    letter having marginal P, and at most H(X^L)); and, computed on demand
-    and kept, each row's output law P(y_Q | P) and unclamped CSCC rate.  A
-    threshold is an argument of the readers, so one table serves a whole
-    sweep of thresholds and computes each class at most once."""
+    :func:`composition_array` order: their ``counts``, no :class:`Composition`
+    per row, mean ``energies`` and ``bounds`` u(P) = min(I(P, W), log2|T_P|
+    / L) on their CSCC rates in bits/use (I(X^L; Y^L) is at most L I(P, W),
+    each letter having marginal P, and at most H(X^L)); and, computed on
+    demand and kept, each row's output law P(y_Q | P) and unclamped CSCC
+    rate.  A threshold is an argument of the readers, so one table serves a
+    whole sweep of thresholds and computes each class at most once."""
 
     def __init__(self, ch: Channel, length: int):
         self.ch, self.length = ch, length
         self.counts = composition_array(ch.input_size, length)
-        self.compositions = [Composition(tuple(row)) for row in self.counts.tolist()]
         self.energies = self.counts @ ch.energy / length
         p = self.counts / length
         info = np.maximum(_row_entropies(p @ ch.w) - p @ _row_entropies(ch.w), 0.0)
         log2_fact = np.array([math.lgamma(c + 1) for c in range(length + 1)]) / LN2 / length
         self.bounds = np.minimum(info, log2_fact[length] - log2_fact[self.counts].sum(axis=1))
-        self._sizes, self._laws = None, [None] * len(self.compositions)
-        self._rates = np.full(len(self.compositions), np.nan)
+        self._sizes, self._laws = None, [None] * len(self.counts)
+        self._rates = np.full(len(self.counts), np.nan)
 
     def feasible(self, threshold: float) -> np.ndarray:
         """The rows feasible at ``threshold``, in order, those of
         :func:`feasible_compositions`, once :func:`check_class_caps` has
         passed them, so a reader fails before it computes any class."""
         rows = feasible_rows(self.energies, self.length, threshold)
-        check_class_caps(self.ch.output_size, [self.compositions[i] for i in rows],
-                         self.length)
+        check_class_caps(self.ch.output_size, self.counts[rows].tolist(), self.length)
         return rows
 
     def rates(self, rows) -> np.ndarray:
@@ -303,7 +301,7 @@ class ClassTable:
         call, so it is bit for bit what any other call gives."""
         missing = [i for i in rows if self._laws[i] is None]
         if missing:
-            classes = [self.compositions[i] for i in missing]
+            classes = self.counts[missing].tolist()
             self._sizes, laws = class_laws(self.ch.w, classes, self.length)
             self._rates[missing] = class_rates(self.ch, classes, self._sizes, laws)
             for i, law in zip(missing, laws):
@@ -311,8 +309,7 @@ class ClassTable:
         return self._rates[rows]
 
     def laws(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """``(sizes, laws)`` for ``rows``, as :func:`class_laws` returns them
-        for their compositions."""
+        """``(sizes, laws)`` for ``rows``, as :func:`class_laws` returns them."""
         self.rates(rows)
         laws = np.array([self._laws[i] for i in rows])
         laws.setflags(write=False)
@@ -347,7 +344,8 @@ def cscc_from_table(table: ClassTable, threshold: float) -> CapacityResult:
     near = rates >= top - RATE_TIE_TOL
     near &= table.energies[rows] >= table.energies[rows[near]].max() - RATE_TIE_TOL
     best = np.flatnonzero(near)[np.lexsort(table.counts[rows[near]].T[::-1])[0]]
-    return CapacityResult(rate=float(rates[best]), composition=table.compositions[rows[best]])
+    return CapacityResult(rate=float(rates[best]),
+                          composition=Composition(tuple(table.counts[rows[best]].tolist())))
 
 
 def cscc_capacity(ch: Channel, length: int, threshold: float) -> CapacityResult:

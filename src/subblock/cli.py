@@ -291,7 +291,7 @@ def cmd_penalty(args) -> int:
     # one kernel call for the whole grid; the exact column is left out, not
     # the command, when the class is beyond the caps
     try:
-        sizes, laws = class_laws(np.stack([ch.w for ch in channels]), [comp], comp.length)
+        sizes, laws = class_laws(np.stack([ch.w for ch in channels]), [comp.counts], comp.length)
     except SizeLimit:
         laws = None
     header = [column] + (["penalty_exact"] if laws is not None else []) \
@@ -300,7 +300,7 @@ def cmd_penalty(args) -> int:
     for k, (value, ch) in enumerate(zip(grid, channels)):
         row = [value]
         if laws is not None:
-            rate, = class_rates(ch, [comp], sizes, laws[k])
+            rate, = class_rates(ch, [comp.counts], sizes, laws[k])
             row.append(ccc_composition_rate(ch, comp) - max(rate, 0.0))
         rows.append(row + [penalty_bound(value, comp).upper, loss])
     write_csv(args.output, header, rows)

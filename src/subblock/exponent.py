@@ -234,7 +234,8 @@ def sphere_packing_solutions(ch: Channel, input_dist, rate_targets,
         raise DomainError("target rate is not below I(P, W); the exponent is 0")
     if not targets:
         return []
-    return _bisect(ch, p, info, targets, tol, tilted_fixed_point(ch, p, 1.0))
+    top = _tilted_stack(ch.w, p, [1.0], FIXED_POINT_TOL)[1](0)
+    return _bisect(ch, p, info, targets, tol, top)
 
 
 def sphere_packing_solution(ch: Channel, input_dist, rate_target: float,
@@ -284,7 +285,8 @@ def sphere_packing(ch: Channel, input_dist, rate: float, tol: float = 1e-9) -> f
 def critical_rate(ch: Channel, input_dist) -> TiltedSolution:
     """The s = 1/2 member of the family; its rate is where the sphere-packing
     curve has slope -1, the knee of the random-coding exponent."""
-    return tilted_fixed_point(ch, input_dist, 0.5)
+    p = as_distribution(input_dist, ch.input_size)
+    return _tilted_stack(ch.w, p, [0.5], FIXED_POINT_TOL)[1](0)
 
 
 def random_coding(ch: Channel, input_dist, rate: float, tol: float = 1e-9) -> float:

@@ -15,8 +15,8 @@ import numpy as np
 from . import capacity
 from .channel import Channel, mutual_information
 from .errors import DomainError, SizeLimit
-from .typeclass import (Composition, enumerate_compositions,
-                        materialize_type_class, type_class_size)
+from .typeclass import (FEASIBILITY_TOL, Composition, composition_array,
+                        materialize_type_class, type_class_blocks, type_class_size)
 
 ORACLE_CAP = 10**7         # entries of the fully materialized vector channel
 
@@ -48,7 +48,7 @@ def vector_channel(ch: Channel, composition: Composition
     Returns ``(inputs, outputs, matrix)`` where ``matrix[i, j]`` is the
     product transition probability from input sequence i to output sequence j.
     """
-    n_entries = type_class_size(composition) * ch.output_size ** composition.length
+    n_entries = type_class_size(composition.counts) * ch.output_size ** composition.length
     if n_entries > ORACLE_CAP:
         raise SizeLimit(f"vector channel needs {n_entries} entries, "
                         f"above the cap of {ORACLE_CAP}")
@@ -80,25 +80,24 @@ def cscc_composition_rate_bruteforce(ch: Channel, composition: Composition) -> f
     return _uniform_information(vector_channel(ch, composition)[2]) / composition.length
 
 
-def class_laws_by_sequence(a, compositions, length: int
-                           ) -> tuple[np.ndarray, np.ndarray]:
+def class_laws_by_sequence(a, rows, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for :func:`~subblock.capacity.class_laws`, equal to it bit for
-    bit and taking the same letter matrix ``a`` of shape ``(..., |X|, |Y|)``:
-    the same ``(sizes, laws)``, one matrix at a time: the products along
-    the rows of the whole materialized class, gathered from ``a`` at once by
-    the flat index x * |Y| + y, one output type at a time, and summed with
-    the same blocked ``math.fsum`` over ``capacity._BLOCK`` sequences."""
+    bit, with the same arguments and ``(sizes, laws)``, one matrix at a
+    time: the products along the rows of the whole materialized class,
+    gathered from ``a`` at once by the flat index x * |Y| + y, one output
+    type at a time, and summed with the same blocked ``math.fsum`` over
+    ``capacity._BLOCK`` rows."""
     a = np.asarray(a, dtype=float)
     inputs, outputs = a.shape[-2:]
-    capacity.check_class_caps(outputs, compositions, length)
-    otypes = enumerate_compositions(outputs, length)
-    reps = [np.repeat(np.arange(outputs), q.counts) for q in otypes]
+    capacity.check_class_caps(outputs, rows, length)
+    otypes = composition_array(outputs, length).tolist()
+    reps = [np.repeat(np.arange(outputs), q) for q in otypes]
     sizes = np.array([float(type_class_size(q)) for q in otypes])
     stack = a.reshape(-1, inputs, outputs)
-    laws = np.empty((len(stack), len(compositions), len(otypes)))
+    laws = np.empty((len(stack), len(rows), len(otypes)))
     block = capacity._BLOCK
-    for i, comp in enumerate(compositions):
-        sequences = materialize_type_class(comp, cap=capacity.CLASS_CAP)
+    for i, counts in enumerate(rows):
+        sequences, = type_class_blocks(counts, capacity.CLASS_CAP, capacity.CLASS_CAP)
         n = sequences.shape[0]
         index = sequences.astype(np.intp) * outputs
         flat, gathered = np.empty_like(index), np.empty(index.shape)
@@ -182,11 +181,11 @@ def two_input_ccc(ch: Channel, threshold: float, steps: int = 80) -> float:
     """The capacity-power value of a two-input channel by golden-section
     search: I is concave in t = P(X = 1), so the search over the
     energy-feasible interval of t finds its maximum.  Feasibility carries the
-    toolkit's 1e-12 slack."""
+    toolkit's ``FEASIBILITY_TOL`` slack."""
     e0, e1 = ch.energy
     lo, hi = 0.0, 1.0
     if e1 != e0:
-        edge = min(max((threshold - 1e-12 - e0) / (e1 - e0), 0.0), 1.0)
+        edge = min(max((threshold - FEASIBILITY_TOL - e0) / (e1 - e0), 0.0), 1.0)
         lo, hi = (edge, 1.0) if e1 > e0 else (0.0, edge)
     info = lambda t: mutual_information(np.array([1.0 - t, t]), ch)
     ratio = (math.sqrt(5.0) - 1.0) / 2.0

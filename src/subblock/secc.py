@@ -40,10 +40,10 @@ def _lumped_classes(table: ClassTable, threshold: float):
     class's unclamped CSCC rate in bits/use.  The rows not kept yet are
     computed in one kernel call."""
     rows = table.feasible(threshold)
-    counts = [type_class_size(table.compositions[i]) for i in rows]
-    total = sum(counts)
+    members = [type_class_size(counts) for counts in table.counts[rows].tolist()]
+    total = sum(members)
     sizes, laws = table.laws(rows)
-    return np.array([n / total for n in counts]), laws * sizes, table.rates(rows)
+    return np.array([n / total for n in members]), laws * sizes, table.rates(rows)
 
 
 def secc_uniform_from_table(table: ClassTable, threshold: float) -> float:
@@ -105,7 +105,7 @@ def secc_capacity(ch: Channel, length: int, threshold: float,
     as the reported rate is higher.
 
     This builds a fresh :class:`~subblock.capacity.ClassTable` and returns
-    one weight per row it finds feasible at ``threshold``, which is the
+    one weight per counts row it finds feasible at ``threshold``, in the
     order of ``feasible_compositions(ch, length, threshold)``; each
     super-letter of class P carries weight / |T_P|.  A sweep over thresholds
     passes one table to :func:`secc_from_table`, so each row is computed once.

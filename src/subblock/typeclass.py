@@ -89,10 +89,10 @@ def enumerate_compositions(alphabet_size: int, length: int) -> list[Composition]
             for row in composition_array(alphabet_size, length).tolist()]
 
 
-def type_class_size(composition: Composition) -> int:
-    """Exact number of sequences with the given composition (multinomial)."""
-    n = math.factorial(composition.length)
-    for c in composition.counts:
+def type_class_size(counts) -> int:
+    """Exact number of sequences with the symbol counts ``counts`` (multinomial)."""
+    n = math.factorial(sum(counts))
+    for c in counts:
         n //= math.factorial(c)
     return n
 
@@ -139,25 +139,25 @@ def materialize_type_class(composition: Composition, cap: int = 10**6) -> np.nda
     """All sequences of the type class as an (n, L) integer array, rows in
     lexicographic order: the one block of :func:`type_class_blocks` with
     ``cap`` rows.  Raises :class:`SizeLimit` above ``cap`` rows."""
-    whole, = type_class_blocks(composition, cap, cap)
+    whole, = type_class_blocks(composition.counts, cap, cap)
     return whole
 
 
-def type_class_blocks(composition: Composition, rows: int, cap: int = 10**6):
-    """The type class in lexicographic order as consecutive blocks of
-    ``rows`` rows (the last may be shorter), each filled once into one
-    reused integer buffer and yielded as a read-only view of it, valid until
-    the next block is asked for.  So the memory held is one block whatever
-    the class's size.  Raises :class:`SizeLimit` above ``cap`` rows, before
-    anything is filled."""
-    n = type_class_size(composition)
+def type_class_blocks(counts, rows: int, cap: int = 10**6):
+    """The type class of the symbol counts ``counts`` in lexicographic order
+    as consecutive blocks of ``rows`` rows (the last may be shorter), each
+    filled once into one reused integer buffer and yielded as a read-only
+    view of it, valid until the next block is asked for.  So the memory held
+    is one block whatever the class's size.  Raises :class:`SizeLimit` above
+    ``cap`` rows, before anything is filled."""
+    n = type_class_size(counts)
     if n > cap:
         raise SizeLimit(f"type class has {n} sequences, above the cap of {cap}")
-    dtype = np.int16 if composition.alphabet_size > 127 else np.int8
-    buffer = np.empty((min(n, rows), composition.length), dtype=dtype)
+    dtype = np.int16 if len(counts) > 127 else np.int8
+    buffer = np.empty((min(n, rows), sum(counts)), dtype=dtype)
     for start in range(0, n, rows):
         block = buffer[:n - start]
-        _fill_rows(block, composition.counts, start, n)
+        _fill_rows(block, counts, start, n)
         block.setflags(write=False)
         yield block
 

@@ -26,7 +26,7 @@ from .energy import (BufferConfig, adversarial_codeword, balanced_composition,
                      worst_case_drawdown)
 from .errors import DomainError
 from .exponent import critical_rate, sphere_packing, sphere_packing_solutions
-from .finiteblock import lsd_rate_bsc
+from .finiteblock import bsc_capacity, lsd_rate_bsc
 from .oracle import (asymmetry_witness, cscc_composition_rate_bruteforce,
                      grid_oracle_esp_bsc, per_input_information)
 from .secc import secc_capacity, secc_uniform_rate
@@ -293,7 +293,7 @@ def check_lsd_scaling() -> CriterionResult:
     n=128 sits below both capacity and the joint-decoding bound there."""
     failures = []
     p = 0.11
-    capacity = 1.0 + p * math.log2(p) + (1 - p) * math.log2(1 - p)
+    capacity = bsc_capacity(p)
     k_small = (capacity - lsd_rate_bsc(p, 2**10, 1e-4)) * math.sqrt(2**10)
     k_large = (capacity - lsd_rate_bsc(p, 2**12, 1e-4)) * math.sqrt(2**12)
     change = abs(k_large - k_small) / k_small

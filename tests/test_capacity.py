@@ -16,6 +16,7 @@ from subblock import (Channel, Composition, DomainError, EmptyFeasibleSet,
                       cscc_composition_rate_bruteforce, feasible_compositions,
                       mutual_information, type_class_size, vector_channel)
 import subblock.capacity
+import subblock.typeclass
 from subblock.capacity import (ClassTable, check_class_caps, class_laws, class_rates,
                                cscc_from_table)
 from subblock.oracle import two_input_ccc
@@ -113,19 +114,18 @@ def test_cscc_capacity_tie_breaking():
 
 
 class _StubTable:
-    """The row interface of :class:`ClassTable` over given compositions, mean
+    """The row interface of :class:`ClassTable` over given counts rows, mean
     energies and rates, every row with the same bound, so the scan visits
     them in the order given."""
 
     def __init__(self, classes):
-        self.compositions = [comp for comp, _, _ in classes]
-        self.counts = np.array([comp.counts for comp in self.compositions])
+        self.counts = np.array([counts for counts, _, _ in classes])
         self.energies = np.array([energy for _, energy, _ in classes])
         self._rates = np.array([rate for _, _, rate in classes])
         self.bounds = np.ones(len(classes))
 
     def feasible(self, threshold):
-        return np.arange(len(self.compositions))
+        return np.arange(len(self.counts))
 
     def rates(self, rows):
         return self._rates[rows]
@@ -136,9 +136,9 @@ def test_cscc_pick_does_not_depend_on_the_scan_order():
     # 1.8 tolerances below c, the top, so only b and c tie; b has the smaller
     # counts at equal energy
     tol = subblock.capacity.RATE_TIE_TOL
-    a = (Composition((1, 2, 1)), 1.5, 0.5)
-    b = (Composition((0, 4, 0)), 1.0, 0.5 + 0.9 * tol)
-    c = (Composition((2, 0, 2)), 1.0, 0.5 + 1.8 * tol)
+    a = ((1, 2, 1), 1.5, 0.5)
+    b = ((0, 4, 0), 1.0, 0.5 + 0.9 * tol)
+    c = ((2, 0, 2), 1.0, 0.5 + 1.8 * tol)
     for order in ((a, b, c), (c, b, a)):
         result = cscc_from_table(_StubTable(order), 0.0)
         assert result.composition.counts == (0, 4, 0)
@@ -149,9 +149,8 @@ def test_cscc_pick_breaks_a_rate_and_energy_tie_by_the_counts():
     # equal rates and energies: only the counts decide, compared entry by
     # entry, whatever the order of the rows; a class two tolerances lower in
     # energy stays out, though its counts are the smallest
-    classes = [(Composition(counts), 1.0, 0.25)
-               for counts in ((1, 2, 1), (0, 4, 0), (1, 0, 3), (0, 3, 1))]
-    low = (Composition((0, 0, 4)), 1.0 - 2 * subblock.capacity.RATE_TIE_TOL, 0.25)
+    classes = [(counts, 1.0, 0.25) for counts in ((1, 2, 1), (0, 4, 0), (1, 0, 3), (0, 3, 1))]
+    low = ((0, 0, 4), 1.0 - 2 * subblock.capacity.RATE_TIE_TOL, 0.25)
     for order in (classes + [low], [low] + classes[::-1], classes[2:] + classes[:2]):
         result = cscc_from_table(_StubTable(order), 0.0)
         assert result.composition.counts == (0, 3, 1)
@@ -175,21 +174,58 @@ def test_size_limits():
         cscc_composition_rate_bruteforce(bsc(0.1), Composition((10, 10)))
 
 
+def test_class_cap_admits_a_class_of_exactly_the_cap(monkeypatch):
+    # |T_(10, 10)| = C(20, 10) = 184,756
+    filled, fill_rows = [], subblock.typeclass._fill_rows
+
+    def recording(out, counts, start, n):
+        filled.append(start)
+        fill_rows(out, counts, start, n)
+
+    monkeypatch.setattr(subblock.typeclass, "_fill_rows", recording)
+    monkeypatch.setattr(subblock.capacity, "CLASS_CAP", 184_756)
+    sizes, laws = class_laws(bsc(0.1).w, [(10, 10)], 20)
+    assert laws.shape == (1, 21) and filled
+    filled.clear()
+    monkeypatch.setattr(subblock.capacity, "CLASS_CAP", 184_755)
+    with pytest.raises(SizeLimit, match="type class"):
+        class_laws(bsc(0.1).w, [(10, 10)], 20)
+    assert filled == []
+
+
+def test_class_table_builds_no_composition_per_row(monkeypatch):
+    built, post_init = [], Composition.__post_init__
+
+    def counting(self):
+        built.append(self.counts)
+        post_init(self)
+
+    monkeypatch.setattr(Composition, "__post_init__", counting)
+    table = ClassTable(Channel.load(Path(__file__).parent / "golden" / "ternary.txt"), 64)
+    assert len(table.counts) == 2145 and built == []
+
+
+def test_kernel_rejects_a_counts_row_of_another_shape():
+    for rows, length in (([(1, 1, 0)], 2), ([(1, 2)], 2)):
+        with pytest.raises(DomainError, match="counts row"):
+            class_laws(bsc(0.1).w, rows, length)
+
+
 @pytest.mark.parametrize("a", [[0.5, 0.5], [[0.5, -0.1], [0.2, 0.8]],
                                [[0.5, np.inf], [0.2, 0.8]], [[0.5, np.nan], [0.2, 0.8]]],
                          ids=["one-dimensional", "negative", "infinite", "nan"])
 def test_kernel_rejects_a_malformed_letter_matrix(a):
     with pytest.raises(DomainError):
-        class_laws(np.array(a), [Composition((1, 1))], 2)
+        class_laws(np.array(a), [(1, 1)], 2)
 
 
 def test_output_type_class_beyond_the_float_range_is_a_size_limit():
     # |T_(515, 515)| = C(1030, 515) > 2**1024 > C(1029, 514); the class
     # (L - 1, 1) has only L sequences, so only the output side is too large
-    check_class_caps(2, [Composition((1028, 1))], 1029)
+    check_class_caps(2, [(1028, 1)], 1029)
     for length in (1030, 2000):
         with pytest.raises(SizeLimit, match="float"):
-            check_class_caps(2, [Composition((length - 1, 1))], length)
+            check_class_caps(2, [(length - 1, 1)], length)
 
 
 def test_ccc_composition_rate():
@@ -327,9 +363,9 @@ def test_law_table_rows_match_a_fresh_kernel_call(ch, length, levels, random):
     for threshold in (high, low):
         rows = table.feasible(threshold).tolist()
         feasible = feasible_compositions(ch, length, threshold)
-        assert [table.compositions[i] for i in rows] == list(feasible)
+        assert table.counts[rows].tolist() == [list(c.counts) for c in feasible]
         random.shuffle(rows)
-        classes = [table.compositions[i] for i in rows]
+        classes = table.counts[rows].tolist()
         sizes, laws = class_laws(ch.w, classes, length)
         table_sizes, table_laws = table.laws(rows)
         assert np.array_equal(table_sizes, sizes) and np.array_equal(table_laws, laws)
@@ -357,7 +393,7 @@ def channels_with_zeros(draw):
 def table_bound(ch, counts):
     """u(P) of the class ``counts`` from a fresh :class:`ClassTable`."""
     table = ClassTable(ch, sum(counts))
-    return table.bounds[table.compositions.index(Composition(counts))]
+    return table.bounds[table.counts.tolist().index(list(counts))]
 
 
 def test_class_rate_bound_closed_forms():
@@ -377,15 +413,15 @@ def test_class_rate_bound_closed_forms():
 @given(ch=channels_with_zeros(), length=st.integers(1, 6))
 def test_class_rate_bound_dominates_the_oracle(ch, length):
     table = ClassTable(ch, length)
-    for comp, bound in zip(table.compositions, table.bounds.tolist()):
-        assert bound >= cscc_composition_rate_bruteforce(ch, comp) - 1e-12
+    for counts, bound in zip(table.counts.tolist(), table.bounds.tolist()):
+        assert bound >= cscc_composition_rate_bruteforce(ch, Composition(tuple(counts))) - 1e-12
 
 
 @settings(max_examples=30, deadline=None)
 @given(ch=channels_with_zeros(), length=st.integers(1, 12))
 def test_class_rate_bound_dominates_the_kernel(ch, length):
     table = ClassTable(ch, length)
-    rows = np.arange(len(table.compositions))
+    rows = np.arange(len(table.counts))
     assert (table.bounds >= table.rates(rows) - 1e-12).all()
 
 
@@ -419,7 +455,7 @@ def test_sandwich_against_feasible_members():
 def test_vector_channel_rows_are_distributions():
     comp = Composition((2, 2))
     _, _, matrix = vector_channel(bsc(0.3), comp)
-    assert matrix.shape == (type_class_size(comp), 16)
+    assert matrix.shape == (type_class_size(comp.counts), 16)
     assert np.abs(matrix.sum(axis=1) - 1.0).max() < 1e-12
 
 
@@ -502,7 +538,7 @@ def test_kernel_holds_one_chunk_block_at_a_time(monkeypatch):
 
 
 def assert_kernel_frees_each_class_and_buffer(ch, monkeypatch):
-    classes = [Composition((8, 8)), Composition((7, 9))]
+    classes = [(8, 8), (7, 9)]
     class_laws(ch.w, classes, 16)
     walks = trace_walks(monkeypatch)
     gc.disable()    # a reference cycle would then keep what it holds
@@ -514,7 +550,7 @@ def assert_kernel_frees_each_class_and_buffer(ch, monkeypatch):
     finally:
         tracemalloc.stop()
         gc.enable()
-    rows = min(max(type_class_size(comp) for comp in classes), subblock.capacity._BLOCK)
+    rows = min(max(map(type_class_size, classes)), subblock.capacity._BLOCK)
     block = rows * 16                                     # int8, one block
     # one (min(|Y|, L) + 1, rows) float64 buffer: a row per level and a scratch row
     buffer = (min(ch.output_size, 16) + 1) * rows * 8
@@ -530,18 +566,17 @@ def assert_kernel_frees_each_class_and_buffer(ch, monkeypatch):
 @pytest.mark.parametrize("counts", [(8, 8), (9, 9), (10, 10)])
 def test_kernel_memory_does_not_grow_with_the_class(counts):
     # 12,870, 48,620 and 184,756 sequences: one, three and twelve blocks
-    comp = Composition(counts)
-    class_laws(bsc(0.1).w, [comp], comp.length)
+    class_laws(bsc(0.1).w, [counts], sum(counts))
     gc.disable()
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
-        class_laws(bsc(0.1).w, [comp], comp.length)
+        class_laws(bsc(0.1).w, [counts], sum(counts))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert peak - baseline < block_bound(2, comp.length)
+    assert peak - baseline < block_bound(2, sum(counts))
 
 
 def test_kernel_frees_each_class_and_buffer(monkeypatch):

@@ -329,10 +329,10 @@ def test_sweeps_compute_one_law_table_per_channel_and_length(monkeypatch):
     # each table computes its rows on demand; no class law is computed twice
     calls, computed, kernel = [], [], subblock.capacity.class_laws
 
-    def recording(a, compositions, length):
-        calls.append(compositions)
-        computed.extend((a.tobytes(), comp) for comp in compositions)
-        return kernel(a, compositions, length)
+    def recording(a, rows, length):
+        calls.append(rows)
+        computed.extend((a.tobytes(), tuple(counts)) for counts in rows)
+        return kernel(a, rows, length)
 
     monkeypatch.setattr(subblock.capacity, "class_laws", recording)
     # the SECC columns read every row in one call per channel
@@ -353,8 +353,9 @@ def test_cscc_capacity_computes_only_the_classes_its_bound_keeps(monkeypatch):
     # L = 16 only (8, 8) and (7, 9)
     calls = recorded_calls(monkeypatch, subblock.capacity, "type_class_blocks")
     assert main([*README_COMMANDS["fig4.csv"].split(), "-o", os.devnull]) == 0
-    assert len(calls) == 12 and len(set(calls)) == 12
-    assert [comp.counts for comp in calls if comp.length == 16] == [(8, 8), (7, 9)]
+    classes = [tuple(counts) for counts in calls]
+    assert len(classes) == 12 and len(set(classes)) == 12
+    assert [counts for counts in classes if sum(counts) == 16] == [(8, 8), (7, 9)]
 
 
 def test_secc_sweep(tmp_path):

@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 import subblock.capacity
 from subblock import (Channel, Composition, capacity_power, class_laws,
                       cscc_capacity, cscc_composition_rate,
-                      cscc_composition_rate_bruteforce, enumerate_compositions,
+                      cscc_composition_rate_bruteforce,
                       feasible_compositions, mutual_information, secc_capacity,
                       secc_uniform_rate, sphere_packing_solution,
                       tilted_fixed_point, type_class_size)
-from subblock.capacity import RATE_TIE_TOL
+from subblock.capacity import RATE_TIE_TOL, ClassTable, cscc_from_table
 from subblock.oracle import class_laws_by_sequence, exact_binary_law
+from subblock.secc import secc_from_table
+from subblock.typeclass import composition_array
 
 TERNARY = Channel([[0.8, 0.15, 0.05],
                    [0.1, 0.7, 0.2],
@@ -141,6 +143,35 @@ def test_single_letter_alphabet():
     assert capacity_power(solo, 1.0).rate == 0.0
 
 
+def noiseless_classes(alphabet, length):
+    """``(energy, |T_P|)`` of every class of length ``length`` on
+    noiseless:``alphabet``, whose symbol energies are 0, 1, ..., by exact
+    integer counting."""
+    if alphabet == 2:
+        return [(k, math.comb(length, k)) for k in range(length + 1)]
+    return [(b + 2 * c, math.comb(length, b + c) * math.comb(b + c, c))
+            for b in range(length + 1) for c in range(length + 1 - b)]
+
+
+@pytest.mark.parametrize("alphabet, cscc_lengths, secc_lengths", [
+    (2, range(4, 21), range(4, 13)), (3, (3, 6, 9), (3, 6, 9))], ids=["binary", "ternary"])
+def test_noiseless_capacities_match_their_closed_forms(alphabet, cscc_lengths, secc_lengths):
+    # on a noiseless channel a class carries log2|T_P| bits and the feasible
+    # super-alphabet log2 sum_P |T_P|, so CSCC is max log2|T_P| / L and SECC
+    # log2 sum |T_P| / L over the feasible classes
+    ch = Channel.noiseless(alphabet)
+    for length in cscc_lengths:
+        table = ClassTable(ch, length)
+        for threshold in (0.0, 0.3, 0.5, 0.75, 1.0):
+            sizes = [size for energy, size in noiseless_classes(alphabet, length)
+                     if Fraction(energy, length) >= Fraction(threshold)]
+            cscc = cscc_from_table(table, threshold).rate
+            assert abs(cscc - math.log2(max(sizes)) / length) <= 1e-12, (length, threshold)
+            if length in secc_lengths:
+                secc = secc_from_table(table, threshold, tol=1e-13).rate
+                assert abs(secc - math.log2(sum(sizes)) / length) <= 1e-12, (length, threshold)
+
+
 def test_cscc_capacity_with_unsorted_energies():
     # energy map need not be monotone in the symbol index
     ch = Channel([[0.9, 0.1], [0.2, 0.8]], (1.0, 0.0))
@@ -231,8 +262,8 @@ def test_kernel_matches_the_per_sequence_route(ch, length, counts, chunk, monkey
     if chunk is not None:
         # (8, 8)'s 12,870 sequences span four blocks, (5, 4, 3)'s 27,720 seven
         monkeypatch.setattr(subblock.capacity, "_BLOCK", chunk)
-    classes = enumerate_compositions(ch.input_size, length) if counts is None \
-        else [Composition(c) for c in counts]
+    classes = composition_array(ch.input_size, length).tolist() if counts is None \
+        else counts
     assert_kernel_matches_the_per_sequence_route(ch, classes, length)
 
 
@@ -245,9 +276,9 @@ def test_kernel_is_within_rounding_of_the_exact_law(ch, counts):
     # (L + 2) units of 2**-53, so (L + 3) holds with room to spare.
     length, ones = sum(counts), counts[1]
     exact = exact_binary_law(ch.w, length, ones)
-    law = class_laws(ch.w, [Composition(counts)], length)[1][0]
+    law = class_laws(ch.w, [counts], length)[1][0]
     tol = Fraction(length + 3, 2**53)
-    # the j-th output type of enumerate_compositions order, (j, L - j), has
+    # the j-th output type of composition_array order, (j, L - j), has
     # L - j ones
     for j, p_y in enumerate(law.tolist()):
         want = exact[length - j]
@@ -269,13 +300,13 @@ def test_exact_binary_law_sums_to_the_row_sums(a, length, ones):
 
 def test_kernel_matches_the_per_sequence_route_on_a_long_sparse_class():
     # 200 sequences against 201 output types whose prefixes run 200 deep
-    assert_kernel_matches_the_per_sequence_route(Channel.bsc(0.2), [Composition((199, 1))], 200)
+    assert_kernel_matches_the_per_sequence_route(Channel.bsc(0.2), [(199, 1)], 200)
 
 
 def test_kernel_matches_the_per_sequence_route_on_a_long_class_of_the_bec():
     # 20,301 output types; a row goes at the first depth whose symbol it
     # cannot reach, so representatives differ in how many rows they keep
-    assert_kernel_matches_the_per_sequence_route(Channel.bec(0.3), [Composition((199, 1))], 200)
+    assert_kernel_matches_the_per_sequence_route(Channel.bec(0.3), [(199, 1)], 200)
 
 
 # channels on which the kernel drops rows whose partial product is zero
@@ -293,12 +324,12 @@ ZERO_CASES = [
 @pytest.mark.parametrize("ch, length", [case[1:] for case in ZERO_CASES],
                          ids=[case[0] for case in ZERO_CASES])
 def test_kernel_matches_the_per_sequence_route_where_rows_drop(ch, length):
-    classes = enumerate_compositions(ch.input_size, length)
+    classes = composition_array(ch.input_size, length).tolist()
     assert_kernel_matches_the_per_sequence_route(ch, classes, length)
     laws = class_laws(ch.w, classes, length)[1]
     unreachable = np.flatnonzero(ch.w.sum(axis=0) == 0.0)
-    has_unreachable = [any(q.counts[y] for y in unreachable)
-                       for q in enumerate_compositions(ch.output_size, length)]
+    has_unreachable = [any(q[y] for y in unreachable)
+                       for q in composition_array(ch.output_size, length).tolist()]
     assert np.all(laws[:, has_unreachable] == 0.0)
 
 
@@ -306,10 +337,10 @@ def test_kernel_gives_exact_zeros_on_a_noiseless_channel():
     # y_Q is reached only from x = y_Q itself, so P(y_Q | P) is 1 / |T_P|
     # when Q = P and exactly 0 otherwise
     ch, length = Channel.noiseless(2), 12
-    classes = enumerate_compositions(2, length)
+    classes = composition_array(2, length).tolist()
     assert_kernel_matches_the_per_sequence_route(ch, classes, length)
     laws = class_laws(ch.w, classes, length)[1]
-    expected = np.diag([1.0 / type_class_size(comp) for comp in classes])
+    expected = np.diag([1.0 / type_class_size(counts) for counts in classes])
     assert np.array_equal(laws, expected)
 
 
@@ -324,7 +355,8 @@ def kernel_instances(draw):
     w[w.sum(axis=1) == 0.0, 0] = 1.0
     ch = Channel(w / w.sum(axis=1, keepdims=True), [0.0] * inputs)
     length = draw(st.integers(1, 8))
-    classes = draw(st.lists(st.sampled_from(enumerate_compositions(inputs, length)),
+    rows = list(map(tuple, composition_array(inputs, length).tolist()))
+    classes = draw(st.lists(st.sampled_from(rows),
                             min_size=1, max_size=3, unique=True))
     return ch, classes, length
 
@@ -363,7 +395,7 @@ STACK_CASES = [
                          ids=[case[0] for case in STACK_CASES])
 def test_stacked_kernel_matches_each_member(matrices, length):
     stack = np.stack(matrices)
-    classes = enumerate_compositions(stack.shape[-2], length)
+    classes = composition_array(stack.shape[-2], length).tolist()
     assert_each_member_matches(stack, classes, length)
 
 
@@ -371,9 +403,9 @@ def test_stacked_kernel_over_several_slices():
     # 3,432 sequences leave room for four matrices per slice, so the ten
     # matrices (in a 2 x 5 stack) take three slices
     stack = np.stack([Channel.bec(eps).w for eps in np.linspace(0.0, 1.0, 10)])
-    width = subblock.capacity._BLOCK // type_class_size(Composition((7, 7)))
+    width = subblock.capacity._BLOCK // type_class_size((7, 7))
     assert width == 4
-    assert_each_member_matches(stack.reshape(2, 5, 2, 3), [Composition((7, 7))], 14)
+    assert_each_member_matches(stack.reshape(2, 5, 2, 3), [(7, 7)], 14)
 
 
 @pytest.mark.parametrize("matrices", [
@@ -384,27 +416,27 @@ def test_stacked_kernel_over_several_chunks(matrices, monkeypatch):
     # (8, 8)'s 12,870 sequences span four blocks of 4,096, each walked for
     # every matrix, one matrix per slice
     monkeypatch.setattr(subblock.capacity, "_BLOCK", 4096)
-    assert_each_member_matches(np.stack(matrices), [Composition((8, 8))], 16)
+    assert_each_member_matches(np.stack(matrices), [(8, 8)], 16)
 
 
 def test_stacked_kernel_holds_one_slice_buffer_at_a_time():
     stack = np.stack([Channel.bec(eps).w for eps in np.linspace(0.0, 1.0, 12)])
-    comp = Composition((7, 7))
-    class_laws(stack, [comp], 14)
+    counts, length = (7, 7), 14
+    class_laws(stack, [counts], length)
     gc.disable()    # a reference cycle would then keep what it holds
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
-        class_laws(stack, [comp], 14)
+        class_laws(stack, [counts], length)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         gc.enable()
-    rows = type_class_size(comp)
+    rows = type_class_size(counts)
     width = subblock.capacity._BLOCK // rows                  # 4 of the 12 matrices
-    block = rows * comp.length                                # int8: the class is one block
+    block = rows * length                                     # int8: the class is one block
     # one slice's float64 buffer: a row per level and a scratch row
-    buffer = (min(stack.shape[-1], comp.length) + 1) * width * rows * 8
+    buffer = (min(stack.shape[-1], length) + 1) * width * rows * 8
     assert current - baseline < 64 * 1024
     # a second slice's buffer, or one buffer for the whole stack, would exceed this
     assert peak - baseline < block + 1.5 * buffer
